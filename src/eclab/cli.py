@@ -19,6 +19,7 @@ from pathlib import Path
 from . import theorems
 from .coalition import (
     DEFAULT_EXACT_EDGE_CAP,
+    FullEdgeSingleton,
     certificate_json,
     coalition_graph,
     ec_bounds,
@@ -141,11 +142,7 @@ def _cmd_ec(args: argparse.Namespace) -> int:
         print(f"{label} {result.ec}")
         for i, block in enumerate(result.certificate.blocks):
             just = result.certificate.justifications[i]
-            note = (
-                "full edge"
-                if type(just).__name__ == "FullEdgeSingleton"
-                else f"partner {just.with_block}"
-            )
+            note = "full edge" if isinstance(just, FullEdgeSingleton) else f"partner {just.with_block}"
             print(f"  block {i}: {sorted(block)}  ({note})")
     return EXIT_OK
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence, Union
+from typing import Iterable, Iterator, Literal, Sequence, Union
 
-from .domination import check_edge_set, edge_domination_number
+from .domination import _cover_mask, check_edge_set, edge_domination_number
 from .errors import (
     BlockIndexOutOfRange,
     BudgetExceeded,
@@ -121,7 +121,7 @@ def validate_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> Blocks:
         if not block:
             raise InvalidPartition(f"block {i} is empty")
         for e in block:
-            if not isinstance(e, int) or not 0 <= e < g.m:
+            if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < g.m:
                 raise InvalidPartition(f"block {i} references nonexistent edge {e!r}")
             bit = 1 << e
             if seen & bit:
@@ -151,16 +151,53 @@ def forms_edge_coalition(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
         return False
     masks = g.closed_edge_masks()
     full = g.full_edge_mask
-    ca = _union_mask(masks, sa)
-    cb = _union_mask(masks, sb)
+    ca = _cover_mask(masks, sa)
+    cb = _cover_mask(masks, sb)
     return ca != full and cb != full and (ca | cb) == full
 
 
-def _union_mask(masks: Sequence[int], members: Iterable[int]) -> int:
-    out = 0
-    for e in members:
-        out |= masks[e]
-    return out
+def _partners(covers: Sequence[int], full: int, i: int) -> Iterator[int]:
+    """Blocks forming an edge coalition with block ``i``, lowest index first."""
+    if covers[i] == full:
+        return
+    for j, cover in enumerate(covers):
+        if j != i and cover != full and covers[i] | cover == full:
+            yield j
+
+
+def _verify(
+    g: Graph, blocks: Iterable[Iterable[int]]
+) -> tuple[EcCertificate | EcRejection, list[int]]:
+    """Verdict on ``blocks`` together with the cover of every block."""
+    normalized = validate_partition(g, blocks)
+    masks = g.closed_edge_masks()
+    full = g.full_edge_mask
+    covers = [_cover_mask(masks, block) for block in normalized]
+
+    justifications: list[Justification] = []
+    for i, block in enumerate(normalized):
+        if covers[i] == full:
+            if len(block) == 1:
+                justifications.append(FullEdgeSingleton())
+                continue
+            return EcRejection(i, NON_SINGLETON_DOMINATING), covers
+        partner = next(_partners(covers, full, i), None)
+        if partner is None:
+            return EcRejection(i, NO_PARTNER), covers
+        justifications.append(Partner(partner))
+    return EcCertificate(normalized, tuple(justifications)), covers
+
+
+def _verified(g: Graph, blocks: Iterable[Iterable[int]]) -> tuple[EcCertificate, list[int]]:
+    """Certificate and block covers of an ec-partition; raises otherwise."""
+    cert, covers = _verify(g, blocks)
+    if not cert:
+        raise NotAnEcPartition(cert.message())
+    return cert, covers
+
+
+def _coalition_edges(covers: Sequence[int], full: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(len(covers)) for j in _partners(covers, full, i) if j > i]
 
 
 def is_ec_partition(
@@ -175,69 +212,23 @@ def is_ec_partition(
     block needs a non-dominating partner whose union with it dominates.
     Raises :class:`InvalidPartition` when the blocks do not partition E.
     """
-    normalized = validate_partition(g, blocks)
-    masks = g.closed_edge_masks()
-    full = g.full_edge_mask
-    covers = [_union_mask(masks, block) for block in normalized]
-
-    justifications: list[Justification] = []
-    for i, block in enumerate(normalized):
-        if covers[i] == full:
-            if len(block) == 1:
-                justifications.append(FullEdgeSingleton())
-                continue
-            return EcRejection(i, NON_SINGLETON_DOMINATING)
-        partner = next(
-            (
-                j
-                for j in range(len(normalized))
-                if j != i and covers[j] != full and covers[i] | covers[j] == full
-            ),
-            None,
-        )
-        if partner is None:
-            return EcRejection(i, NO_PARTNER)
-        justifications.append(Partner(partner))
-    return EcCertificate(normalized, tuple(justifications))
+    return _verify(g, blocks)[0]
 
 
 def coalition_graph(g: Graph, blocks: Iterable[Iterable[int]]) -> Graph:
     """Graph on the blocks of a verified ec-partition; i ~ j iff blocks i and j
     form an edge coalition."""
-    cert = is_ec_partition(g, blocks)
-    if not cert:
-        raise NotAnEcPartition(cert.message())
-    masks = g.closed_edge_masks()
-    full = g.full_edge_mask
-    covers = [_union_mask(masks, block) for block in cert.blocks]
-    k = len(covers)
-    edges = [
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if covers[i] != full and covers[j] != full and covers[i] | covers[j] == full
-    ]
-    return Graph(k, edges)
+    cert, covers = _verified(g, blocks)
+    return Graph(cert.order, _coalition_edges(covers, g.full_edge_mask))
 
 
 def coalition_partner_count(g: Graph, blocks: Iterable[Iterable[int]], i: int) -> int:
     """Number of blocks forming an edge coalition with block ``i``
     (its degree in the coalition graph)."""
-    cert = is_ec_partition(g, blocks)
-    if not cert:
-        raise NotAnEcPartition(cert.message())
+    cert, covers = _verified(g, blocks)
     if not 0 <= i < cert.order:
         raise BlockIndexOutOfRange(f"block index {i} not in 0..{cert.order - 1}")
-    masks = g.closed_edge_masks()
-    full = g.full_edge_mask
-    covers = [_union_mask(masks, block) for block in cert.blocks]
-    if covers[i] == full:
-        return 0
-    return sum(
-        1
-        for j in range(cert.order)
-        if j != i and covers[j] != full and covers[i] | covers[j] == full
-    )
+    return sum(1 for _ in _partners(covers, g.full_edge_mask, i))
 
 
 # --- exact solver -----------------------------------------------------------
@@ -352,33 +343,6 @@ def _labels_to_blocks(labels: Sequence[int], k: int) -> Blocks:
     return tuple(frozenset(group) for group in groups)
 
 
-def _legal_prefixes(closed: Sequence[int], full: int, m: int, k: int, depth: int) -> list[tuple[int, ...]]:
-    """All restricted-growth prefixes of the given depth that survive the
-    assignment-time checks, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], covers: tuple[int, ...], sizes: tuple[int, ...], used: int) -> None:
-        i = len(prefix)
-        if i == depth:
-            out.append(prefix)
-            return
-        if used + (m - i) < k:
-            return
-        for b in range(min(used + 1, k)):
-            new_cover = covers[b] | closed[i]
-            if sizes[b] >= 1 and new_cover == full:
-                continue
-            grow(
-                prefix + (b,),
-                covers[:b] + (new_cover,) + covers[b + 1 :],
-                sizes[:b] + (sizes[b] + 1,) + sizes[b + 1 :],
-                used + (b == used),
-            )
-
-    grow((), (0,) * k, (0,) * k, 0)
-    return out
-
-
 def _search_worker(args):
     closed, full, m, k, prefix = args
     return _search_exact_k(closed, full, m, k, prefix)
@@ -389,8 +353,11 @@ def _find_partition_of_order(
 ):
     """Order-k search entry point; splits the tree across processes if asked.
 
-    The parallel route consumes per-prefix results in lexicographic order,
-    so the witness matches the single-threaded one whenever it completes.
+    The parallel route hands out every restricted-growth prefix with labels
+    below k, at the shallowest depth >= 2 that gives each worker three; the
+    prefix replay in :func:`_search_exact_k` drops the illegal ones.  Results
+    are consumed in lexicographic prefix order, so the witness matches the
+    single-threaded one whenever it completes.
     """
     closed = g.closed_edge_masks()
     full = g.full_edge_mask
@@ -398,11 +365,11 @@ def _find_partition_of_order(
     if jobs <= 1 or m < 6 or deadline is not None:
         return _search_exact_k(closed, full, m, k, deadline=deadline)
 
-    depth = 2
-    prefixes = _legal_prefixes(closed, full, m, k, depth)
-    while len(prefixes) < 3 * jobs and depth < m - 1:
-        depth += 1
-        prefixes = _legal_prefixes(closed, full, m, k, depth)
+    prefixes: list[tuple[int, ...]] = [()]
+    for depth in range(1, m):
+        prefixes = [p + (b,) for p in prefixes for b in range(min(max(p, default=-1) + 2, k))]
+        if depth >= 2 and len(prefixes) >= 3 * jobs:
+            break
     if len(prefixes) <= 1:
         return _search_exact_k(closed, full, m, k, deadline=deadline)
 
@@ -509,12 +476,12 @@ def is_self_edge_coalition_graph(g: Graph) -> bool:
 
     if g.m == 0:
         raise EmptyGraph("EC is undefined for graphs without edges")
-    cert = is_ec_partition(g, singleton_partition(g))
+    cert, covers = _verify(g, singleton_partition(g))
     if not cert:
         return False
     if g.m != g.n:
         return False  # the coalition graph has m vertices, so iso is impossible
-    return are_isomorphic(g, coalition_graph(g, cert.blocks))
+    return are_isomorphic(g, Graph(g.m, _coalition_edges(covers, g.full_edge_mask)))
 
 
 # --- bound report -----------------------------------------------------------
@@ -562,106 +529,48 @@ def ec_bounds(g: Graph) -> BoundReport:
     is_complete = m == n * (n - 1) // 2 and n >= 2
     universal = sum(1 for d in degrees if d == n - 1)
 
-    entries = [
-        BoundEntry("trivial-lower", "lower", 1, True, "holds for every graph with an edge"),
-        BoundEntry("size-upper", "upper", m, True, "a partition of m edges has at most m blocks"),
-    ]
-
     gamma = edge_domination_number(g).gamma_prime
-    if has_full_edge:
-        reason = "graph has a full edge"
-        applicable = False
-    elif has_isolated_edge:
-        reason = "graph has an isolated edge"
-        applicable = False
-    else:
-        reason = "no isolated edges and no full edges"
-        applicable = True
-    entries.append(
-        BoundEntry("twice-gamma-minus-one", "lower", 2 * gamma - 1, applicable, reason)
+    r, s = _complete_bipartite_parts(g) or (0, 0)
+
+    # (source, kind, value, [(blocked, reason), ...], reason when applicable);
+    # the first blocking condition that holds makes the bound inapplicable.
+    rows = (
+        ("trivial-lower", "lower", 1, [], "holds for every graph with an edge"),
+        ("size-upper", "upper", m, [], "a partition of m edges has at most m blocks"),
+        (
+            "twice-gamma-minus-one", "lower", 2 * gamma - 1,
+            [(has_full_edge, "graph has a full edge"),
+             (has_isolated_edge, "graph has an isolated edge")],
+            "no isolated edges and no full edges",
+        ),
+        (
+            "universal-vertex-count", "lower", universal * n - universal * (universal + 1) // 2,
+            [(is_complete, "stated only for incomplete graphs")],
+            f"{universal} vertices of degree n-1",
+        ),
+        (
+            "one-plus-min-degree", "lower", 1 + delta,
+            [(has_full_edge, "graph has a full edge"),
+             (delta < 1, "graph has an isolated vertex")],
+            "no full edge and minimum degree >= 1",
+        ),
+        (
+            "complete-even-order", "lower", 2 * (n - 1),
+            [(not (is_complete and n % 2 == 0 and n >= 4),
+              "needs a complete graph of even order >= 4 "
+              "(splitting a one-edge dominating set is impossible at n = 2)")],
+            "complete graph of even order >= 4",
+        ),
+        (
+            "bipartite-twice-larger-side", "lower", 2 * s if r >= 2 else 0,
+            [(r < 2, "needs a complete bipartite graph with both parts of size >= 2")],
+            f"complete bipartite with parts {r} <= {s}",
+        ),
     )
-
-    if is_complete:
-        entries.append(
-            BoundEntry(
-                "universal-vertex-count",
-                "lower",
-                universal * n - universal * (universal + 1) // 2,
-                False,
-                "stated only for incomplete graphs",
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry(
-                "universal-vertex-count",
-                "lower",
-                universal * n - universal * (universal + 1) // 2,
-                True,
-                f"{universal} vertices of degree n-1",
-            )
-        )
-
-    if has_full_edge:
-        entries.append(
-            BoundEntry("one-plus-min-degree", "lower", 1 + delta, False, "graph has a full edge")
-        )
-    elif delta < 1:
-        entries.append(
-            BoundEntry("one-plus-min-degree", "lower", 1 + delta, False, "graph has an isolated vertex")
-        )
-    else:
-        entries.append(
-            BoundEntry(
-                "one-plus-min-degree", "lower", 1 + delta, True, "no full edge and minimum degree >= 1"
-            )
-        )
-
-    if is_complete and n % 2 == 0 and n >= 4:
-        entries.append(
-            BoundEntry(
-                "complete-even-order",
-                "lower",
-                2 * (n - 1),
-                True,
-                "complete graph of even order >= 4",
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry(
-                "complete-even-order",
-                "lower",
-                2 * (n - 1),
-                False,
-                "needs a complete graph of even order >= 4 "
-                "(splitting a one-edge dominating set is impossible at n = 2)",
-            )
-        )
-
-    bip = _complete_bipartite_parts(g)
-    if bip is not None and bip[0] >= 2:
-        r, s = bip
-        entries.append(
-            BoundEntry(
-                "bipartite-twice-larger-side",
-                "lower",
-                2 * s,
-                True,
-                f"complete bipartite with parts {r} <= {s}",
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry(
-                "bipartite-twice-larger-side",
-                "lower",
-                0,
-                False,
-                "needs a complete bipartite graph with both parts of size >= 2",
-            )
-        )
-
+    entries = []
+    for source, kind, value, blockers, reason in rows:
+        blocked = next((why for hit, why in blockers if hit), None)
+        entries.append(BoundEntry(source, kind, value, blocked is None, blocked or reason))
     return BoundReport(tuple(entries))
 
 

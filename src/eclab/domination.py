@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GraphMismatch
 from .graphs import Graph, line_graph
@@ -21,32 +21,33 @@ def check_edge_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
     """Normalize an edge-index collection, raising GraphMismatch on bad indices."""
     s = frozenset(members)
     for e in s:
-        if not isinstance(e, int) or not 0 <= e < g.m:
+        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < g.m:
             raise GraphMismatch(f"edge index {e!r} does not exist in a graph with m={g.m}")
     return s
 
 
-def _cover_mask(g: Graph, members: frozenset[int]) -> int:
-    masks = g._nbr_masks
+def _cover_mask(closed: Sequence[int], members: Iterable[int]) -> int:
+    """Edges dominated by ``members``: the union of their closed neighborhoods."""
     cover = 0
     for e in members:
-        cover |= masks[e] | (1 << e)
+        cover |= closed[e]
     return cover
 
 
 def is_edge_dominating_set(g: Graph, members: Iterable[int]) -> bool:
     """True iff every edge outside the set has a neighbor inside it."""
     s = check_edge_set(g, members)
-    return _cover_mask(g, s) == g.full_edge_mask
+    return _cover_mask(g.closed_edge_masks(), s) == g.full_edge_mask
 
 
 def is_minimal_edge_dominating_set(g: Graph, members: Iterable[int]) -> bool:
     """True iff the set dominates and no single member can be dropped."""
     s = check_edge_set(g, members)
+    closed = g.closed_edge_masks()
     full = g.full_edge_mask
-    if _cover_mask(g, s) != full:
+    if _cover_mask(closed, s) != full:
         return False
-    return all(_cover_mask(g, s - {e}) != full for e in s)
+    return all(_cover_mask(closed, s - {e}) != full for e in s)
 
 
 @dataclass(frozen=True)

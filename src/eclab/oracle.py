@@ -19,7 +19,8 @@ from .graphs import Graph, are_isomorphic, format_edge_list
 
 ORACLE_EDGE_CAP = 10
 
-_CLASS_CAPS = {"all": 9, "connected": 9, "trees": 10, "unicyclic": 10}
+#: Per corpus class: (smallest order enumerated, largest order allowed).
+_CLASSES = {"all": (1, 9), "connected": (1, 9), "trees": (1, 10), "unicyclic": (3, 10)}
 
 
 def _edge_neighbor_sets(g: Graph) -> list[set[int]]:
@@ -130,22 +131,26 @@ class CorpusSpec:
 
     def __post_init__(self) -> None:
         for cls in self.classes:
-            cap = _CLASS_CAPS.get(cls)
-            if cap is None:
+            if cls not in _CLASSES:
                 raise BudgetExceeded(f"unknown corpus class {cls!r}")
+            cap = _CLASSES[cls][1]
             if self.max_vertices > cap:
                 raise BudgetExceeded(
                     f"class {cls!r} is capped at {cap} vertices, got {self.max_vertices}"
                 )
 
 
+def _orders(spec: CorpusSpec) -> Iterator[tuple[str, int]]:
+    for cls in spec.classes:
+        for n in range(_CLASSES[cls][0], spec.max_vertices + 1):
+            yield cls, n
+
+
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
     """All graphs of the requested classes up to ``max_vertices``, one
     representative per isomorphism class, in a deterministic order."""
-    for cls in spec.classes:
-        start = {"all": 1, "connected": 1, "trees": 1, "unicyclic": 3}[cls]
-        for n in range(start, spec.max_vertices + 1):
-            yield from graphs_of_order(cls, n)
+    for cls, n in _orders(spec):
+        yield from graphs_of_order(cls, n)
 
 
 def export_corpus(spec: CorpusSpec, directory: str | Path) -> list[Path]:
@@ -153,13 +158,11 @@ def export_corpus(spec: CorpusSpec, directory: str | Path) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for cls in spec.classes:
-        start = {"all": 1, "connected": 1, "trees": 1, "unicyclic": 3}[cls]
-        for n in range(start, spec.max_vertices + 1):
-            for index, g in enumerate(graphs_of_order(cls, n)):
-                path = directory / f"{cls}_{n}_{index}.el"
-                path.write_text(format_edge_list(g))
-                written.append(path)
+    for cls, n in _orders(spec):
+        for index, g in enumerate(graphs_of_order(cls, n)):
+            path = directory / f"{cls}_{n}_{index}.el"
+            path.write_text(format_edge_list(g))
+            written.append(path)
     return written
 
 
@@ -171,7 +174,7 @@ def graphs_of_order(cls: str, n: int) -> tuple[Graph, ...]:
     admissible neighbor subset, or a new leaf, plus the bare cycle for the
     unicyclic class) and rejecting isomorphs of already-kept graphs.
     """
-    cap = _CLASS_CAPS[cls]
+    cap = _CLASSES[cls][1]
     if n > cap:
         raise BudgetExceeded(f"class {cls!r} is capped at {cap} vertices")
     if cls == "all":

@@ -24,7 +24,6 @@ from typing import Callable
 
 from .coalition import (
     coalition_graph,
-    coalition_partner_count,
     ec_bounds,
     edge_coalition_number,
     is_self_edge_coalition_graph,
@@ -278,9 +277,10 @@ def _check_partner_cap() -> CheckResult:
         if delta < 2:
             continue
         cert = _solve(g).certificate
+        ecg = coalition_graph(g, cert.blocks)
         for i in range(cert.order):
             checked += 1
-            if coalition_partner_count(g, cert.blocks, i) > 2 * delta - 1:
+            if ecg.degree(i) > 2 * delta - 1:
                 return CheckResult(
                     "partner-cap", False, f"{g.edges}: block {i} exceeds 2*Delta-1"
                 )

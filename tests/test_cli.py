@@ -30,6 +30,16 @@ class TestEc:
         assert code == 0
         assert out.startswith("EC 5")
 
+    def test_text_output_marks_full_edges(self, capsys):
+        code, out, _ = run_cli(capsys, "ec", "--family", "star:3")
+        assert code == 0
+        assert out.splitlines() == [
+            "EC 3",
+            "  block 0: [0]  (full edge)",
+            "  block 1: [1]  (full edge)",
+            "  block 2: [2]  (full edge)",
+        ]
+
     def test_graph_file_input(self, capsys, tmp_path):
         path = tmp_path / "g.el"
         path.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -110,6 +120,14 @@ class TestVerify:
         )
         assert code == 2
         assert "not covered" in err
+
+    def test_bool_indices_are_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "path:3", "--partition", "[[true],[false]]"
+        )
+        assert code == 2
+        assert out == ""
+        assert "nonexistent edge" in err
 
     def test_bad_json_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--family", "path:6", "--partition", "nope")

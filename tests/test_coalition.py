@@ -24,6 +24,7 @@ from eclab.coalition import (
     is_self_edge_coalition_graph,
     is_singleton_ec_graph,
     singleton_partition,
+    validate_partition,
 )
 from eclab.domination import is_edge_dominating_set
 from eclab.errors import (
@@ -47,6 +48,7 @@ from eclab.families import (
     two_disjoint_edges,
 )
 from eclab.graphs import Graph, are_isomorphic
+from eclab.oracle import CorpusSpec, enumerate_corpus
 
 from test_graphs import small_graphs
 
@@ -158,6 +160,11 @@ class TestIsEcPartition:
         with pytest.raises(InvalidPartition):
             is_ec_partition(P6, blocks)
 
+    def test_bool_edge_indices_rejected(self):
+        # bool is a subclass of int, so JSON true/false must be caught explicitly.
+        with pytest.raises(InvalidPartition, match="nonexistent edge"):
+            validate_partition(path_graph(3), [[True], [False]])
+
     @settings(max_examples=50)
     @given(small_graphs(min_m=1), st.data())
     def test_certificate_reverifies_from_scratch(self, g, data):
@@ -234,6 +241,18 @@ class TestSolver:
         assert parallel.ec == serial.ec
         assert parallel.certificate == serial.certificate
 
+    @pytest.mark.parametrize(
+        "g", [complete_graph(6), complete_bipartite(3, 3)], ids=["K6", "K3,3"]
+    )
+    def test_parallel_matches_serial_when_prefixes_are_illegal(self, g):
+        # Dense graphs: at the top orders most work-split prefixes are illegal
+        # (on K6 at k = 15 only 4 of the 15 depth-4 prefixes can still open k
+        # blocks; on K3,3 the prefix (0, 1, 1, 1) makes block 1 dominating),
+        # and the prefix replay must drop them.
+        serial = edge_coalition_number(g)
+        parallel = edge_coalition_number(g, jobs=2)
+        assert parallel == serial
+
     def test_lower_bound_mode(self):
         result = edge_coalition_lower_bound(P6, time_budget=10.0)
         assert result.mode == "lower_bound"
@@ -285,6 +304,18 @@ class TestPartnerCount:
     def test_block_index_out_of_range(self):
         with pytest.raises(BlockIndexOutOfRange):
             coalition_partner_count(P6, P6_PARTITION, 4)
+
+    def test_equals_coalition_graph_degree_on_solver_certificates(self):
+        checked = 0
+        for g in enumerate_corpus(CorpusSpec(5)):
+            if g.m == 0:
+                continue
+            blocks = edge_coalition_number(g).certificate.blocks
+            ecg = coalition_graph(g, blocks)
+            for i in range(len(blocks)):
+                assert coalition_partner_count(g, blocks, i) == ecg.degree(i)
+                checked += 1
+        assert checked > 100
 
 
 class TestDerivedPredicates:
@@ -347,6 +378,116 @@ class TestBounds:
             e for e in report.entries if e.source == "bipartite-twice-larger-side"
         )
         assert entry.applicable and entry.value == 4
+
+
+FULL_EDGE = "graph has a full edge"
+NEEDS_EVEN_COMPLETE = (
+    "needs a complete graph of even order >= 4 "
+    "(splitting a one-edge dominating set is impossible at n = 2)"
+)
+NEEDS_BIPARTITE = "needs a complete bipartite graph with both parts of size >= 2"
+TRIVIAL = ("trivial-lower", "lower", 1, True, "holds for every graph with an edge")
+
+
+def _size(m):
+    return ("size-upper", "upper", m, True, "a partition of m edges has at most m blocks")
+
+
+def _no_bipartite():
+    return ("bipartite-twice-larger-side", "lower", 0, False, NEEDS_BIPARTITE)
+
+
+# Every applicability branch of every bound, pinned entry by entry.
+BOUND_GOLDEN = {
+    "star:5": (star_graph(5), [
+        TRIVIAL,
+        _size(5),
+        ("twice-gamma-minus-one", "lower", 1, False, FULL_EDGE),
+        ("universal-vertex-count", "lower", 5, True, "1 vertices of degree n-1"),
+        ("one-plus-min-degree", "lower", 2, False, FULL_EDGE),
+        ("complete-even-order", "lower", 10, False, NEEDS_EVEN_COMPLETE),
+        _no_bipartite(),
+    ]),
+    "2K2": (two_disjoint_edges(), [
+        TRIVIAL,
+        _size(2),
+        ("twice-gamma-minus-one", "lower", 3, False, "graph has an isolated edge"),
+        ("universal-vertex-count", "lower", 0, True, "0 vertices of degree n-1"),
+        ("one-plus-min-degree", "lower", 2, True, "no full edge and minimum degree >= 1"),
+        ("complete-even-order", "lower", 6, False, NEEDS_EVEN_COMPLETE),
+        _no_bipartite(),
+    ]),
+    "P5+K1": (Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)]), [
+        TRIVIAL,
+        _size(4),
+        ("twice-gamma-minus-one", "lower", 3, True, "no isolated edges and no full edges"),
+        ("universal-vertex-count", "lower", 0, True, "0 vertices of degree n-1"),
+        ("one-plus-min-degree", "lower", 1, False, "graph has an isolated vertex"),
+        ("complete-even-order", "lower", 10, False, NEEDS_EVEN_COMPLETE),
+        _no_bipartite(),
+    ]),
+    "cycle:7": (cycle_graph(7), [
+        TRIVIAL,
+        _size(7),
+        ("twice-gamma-minus-one", "lower", 5, True, "no isolated edges and no full edges"),
+        ("universal-vertex-count", "lower", 0, True, "0 vertices of degree n-1"),
+        ("one-plus-min-degree", "lower", 3, True, "no full edge and minimum degree >= 1"),
+        ("complete-even-order", "lower", 12, False, NEEDS_EVEN_COMPLETE),
+        _no_bipartite(),
+    ]),
+    "complete:4": (complete_graph(4), [
+        TRIVIAL,
+        _size(6),
+        ("twice-gamma-minus-one", "lower", 3, True, "no isolated edges and no full edges"),
+        ("universal-vertex-count", "lower", 6, False, "stated only for incomplete graphs"),
+        ("one-plus-min-degree", "lower", 4, True, "no full edge and minimum degree >= 1"),
+        ("complete-even-order", "lower", 6, True, "complete graph of even order >= 4"),
+        _no_bipartite(),
+    ]),
+    "complete:3": (complete_graph(3), [
+        TRIVIAL,
+        _size(3),
+        ("twice-gamma-minus-one", "lower", 1, False, FULL_EDGE),
+        ("universal-vertex-count", "lower", 3, False, "stated only for incomplete graphs"),
+        ("one-plus-min-degree", "lower", 3, False, FULL_EDGE),
+        ("complete-even-order", "lower", 4, False, NEEDS_EVEN_COMPLETE),
+        _no_bipartite(),
+    ]),
+    "complete:2": (complete_graph(2), [
+        TRIVIAL,
+        _size(1),
+        ("twice-gamma-minus-one", "lower", 1, False, FULL_EDGE),
+        ("universal-vertex-count", "lower", 1, False, "stated only for incomplete graphs"),
+        ("one-plus-min-degree", "lower", 2, False, FULL_EDGE),
+        ("complete-even-order", "lower", 2, False, NEEDS_EVEN_COMPLETE),
+        _no_bipartite(),
+    ]),
+    "kbip:2,3": (complete_bipartite(2, 3), [
+        TRIVIAL,
+        _size(6),
+        ("twice-gamma-minus-one", "lower", 3, True, "no isolated edges and no full edges"),
+        ("universal-vertex-count", "lower", 0, True, "0 vertices of degree n-1"),
+        ("one-plus-min-degree", "lower", 3, True, "no full edge and minimum degree >= 1"),
+        ("complete-even-order", "lower", 8, False, NEEDS_EVEN_COMPLETE),
+        ("bipartite-twice-larger-side", "lower", 6, True, "complete bipartite with parts 2 <= 3"),
+    ]),
+    "kbip:1,3": (complete_bipartite(1, 3), [
+        TRIVIAL,
+        _size(3),
+        ("twice-gamma-minus-one", "lower", 1, False, FULL_EDGE),
+        ("universal-vertex-count", "lower", 3, True, "1 vertices of degree n-1"),
+        ("one-plus-min-degree", "lower", 2, False, FULL_EDGE),
+        ("complete-even-order", "lower", 6, False, NEEDS_EVEN_COMPLETE),
+        _no_bipartite(),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUND_GOLDEN))
+def test_bound_report_golden(name):
+    g, expected = BOUND_GOLDEN[name]
+    entries = [(e.source, e.kind, e.value, e.applicable, e.reason) for e in ec_bounds(g).entries]
+    assert entries == expected
 
 
 class TestCertificateJson:

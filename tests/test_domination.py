@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eclab.domination import (
+    check_edge_set,
     edge_domination_number,
     gamma_prime_via_line_graph,
     is_edge_dominating_set,
@@ -51,6 +52,10 @@ class TestIsEdgeDominatingSet:
     def test_graph_mismatch(self):
         with pytest.raises(GraphMismatch):
             is_edge_dominating_set(path_graph(3), {5})
+
+    def test_bool_indices_are_a_graph_mismatch(self):
+        with pytest.raises(GraphMismatch):
+            check_edge_set(path_graph(3), [True])
 
     @settings(max_examples=60)
     @given(small_graphs(min_m=1), st.data())
