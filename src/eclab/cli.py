@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -86,6 +87,28 @@ def _edge_cap(args: argparse.Namespace) -> int:
     return DEFAULT_EXACT_EDGE_CAP
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of ``--jobs``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """argparse type of ``--time-budget``: a finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds, got {text!r}")
+    return value
+
+
 def _parse_partition_arg(args: argparse.Namespace, g: Graph) -> tuple[frozenset[int], ...]:
     if getattr(args, "partition_id", None):
         preset = K24_PARTITION_PRESETS.get(args.partition_id)
@@ -106,7 +129,7 @@ def _parse_partition_arg(args: argparse.Namespace, g: Graph) -> tuple[frozenset[
         raise _UsageError(f"--partition is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
         raise _UsageError("--partition must be a JSON array of arrays of edge indices")
-    return validate_partition(g, [frozenset(b) for b in data])
+    return validate_partition(g, data)
 
 
 def _graph_as_dot(g: Graph, labels: list[str] | None = None) -> str:
@@ -260,14 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ec", help="compute the edge coalition number with a certificate")
     _add_input_args(p)
     _add_format_arg(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the search")
+    p.add_argument(
+        "--jobs", type=_worker_count, default=1,
+        help="worker processes for the search (at most the core count)",
+    )
     p.add_argument("--max-edges", type=int, default=None, help="override the exact-mode cap")
     p.add_argument(
         "--lower-bound",
         action="store_true",
         help="report the best certificate found within --time-budget instead of the exact value",
     )
-    p.add_argument("--time-budget", type=float, default=30.0, help="seconds for --lower-bound")
+    p.add_argument("--time-budget", type=_seconds, default=30.0, help="seconds for --lower-bound")
     p.set_defaults(func=_cmd_ec)
 
     p = sub.add_parser("gamma", help="compute the edge domination number")

@@ -19,8 +19,10 @@ labeling of that order.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
@@ -115,7 +117,10 @@ def validate_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> Blocks:
     """Normalize blocks and check they partition the edge set of ``g``."""
     if g.m == 0:
         raise InvalidPartition("a graph with no edges has no edge partitions")
-    normalized = tuple(frozenset(b) for b in blocks)
+    try:
+        normalized = tuple(frozenset(b) for b in blocks)
+    except TypeError as exc:
+        raise InvalidPartition(f"blocks must be sets of edge indices: {exc}") from exc
     seen = 0
     for i, block in enumerate(normalized):
         if not block:
@@ -233,7 +238,13 @@ def coalition_partner_count(g: Graph, blocks: Iterable[Iterable[int]], i: int) -
 
 # --- exact solver -----------------------------------------------------------
 
-_TIMEOUT = object()
+# Outcome of an order-k search that ran out of time.  Unlike an ``object()``
+# sentinel, a string still compares equal after a round trip through a worker.
+_TIMEOUT = "timeout"
+
+
+class _SearchTimeout(Exception):
+    pass
 
 
 def _search_exact_k(
@@ -245,7 +256,7 @@ def _search_exact_k(
     deadline: float | None = None,
 ):
     """Lexicographically least restricted-growth string of a valid order-k
-    partition extending ``prefix``, or None, or the timeout sentinel.
+    partition extending ``prefix``, or None, or ``_TIMEOUT``.
 
     Pruning rules, all sound for the strict block conditions:
       * a block that holds two or more edges must stay non-dominating;
@@ -253,6 +264,8 @@ def _search_exact_k(
       * every block must keep a *potential* partner: the part of its
         deficiency that no remaining edge can cover must already be covered
         by some other existing block that is not itself dominating.
+
+    A block is empty exactly when its cover is 0, because N[e] contains e.
     """
     rem = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -260,28 +273,19 @@ def _search_exact_k(
 
     labels = [0] * m
     covers = [0] * k
-    sizes = [0] * k
     used = 0
 
     def assign(i: int, b: int) -> bool:
         """Apply labels[i] = b if legal; returns False when pruned."""
         nonlocal used
         new_cover = covers[b] | closed[i]
-        if sizes[b] >= 1 and new_cover == full:
+        if covers[b] and new_cover == full:
             return False
         labels[i] = b
         covers[b] = new_cover
-        sizes[b] += 1
         if b == used:
             used += 1
         return True
-
-    def unassign(i: int, b: int, old_cover: int) -> None:
-        nonlocal used
-        covers[b] = old_cover
-        sizes[b] -= 1
-        if sizes[b] == 0 and b == used - 1:
-            used -= 1
 
     def partners_feasible(i: int) -> bool:
         r = rem[i]
@@ -306,7 +310,7 @@ def _search_exact_k(
     counter = 0
 
     def rec(i: int) -> bool:
-        nonlocal counter
+        nonlocal counter, used
         if deadline is not None:
             counter += 1
             if counter & 0xFFF == 0 and time.monotonic() > deadline:
@@ -322,7 +326,9 @@ def _search_exact_k(
                 continue
             if partners_feasible(i + 1) and rec(i + 1):
                 return True
-            unassign(i, b, old_cover)
+            covers[b] = old_cover
+            if not old_cover:
+                used -= 1
         return False
 
     try:
@@ -332,62 +338,58 @@ def _search_exact_k(
     return list(labels) if found else None
 
 
-class _SearchTimeout(Exception):
-    pass
-
-
-def _labels_to_blocks(labels: Sequence[int], k: int) -> Blocks:
-    groups: list[list[int]] = [[] for _ in range(k)]
-    for e, b in enumerate(labels):
-        groups[b].append(e)
-    return tuple(frozenset(group) for group in groups)
-
-
-def _search_worker(args):
-    closed, full, m, k, prefix = args
-    return _search_exact_k(closed, full, m, k, prefix)
+def _search_pool(jobs: int, m: int):
+    """The run's one process pool: ``min(jobs, cpu count)`` workers, or a
+    null context (the serial route) when that is 1 or the graph is small."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or m < 6:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _find_partition_of_order(
-    g: Graph, k: int, jobs: int, deadline: float | None = None
+    g: Graph, k: int, pool: ProcessPoolExecutor | None, deadline: float | None = None
 ):
-    """Order-k search entry point; splits the tree across processes if asked.
+    """Order-k search: witness labels, None when refuted, or ``_TIMEOUT``.
 
-    The parallel route hands out every restricted-growth prefix with labels
-    below k, at the shallowest depth >= 2 that gives each worker three; the
-    prefix replay in :func:`_search_exact_k` drops the illegal ones.  Results
-    are consumed in lexicographic prefix order, so the witness matches the
-    single-threaded one whenever it completes.
+    With a pool, the tree is split on every restricted-growth prefix with
+    labels below k, at the shallowest depth >= 2 that gives each worker
+    three; the prefix replay in :func:`_search_exact_k` drops the illegal
+    ones.  Every task carries the deadline.  Outcomes are read in
+    lexicographic prefix order, so the witness is the serial one.
     """
     closed = g.closed_edge_masks()
     full = g.full_edge_mask
     m = g.m
-    if jobs <= 1 or m < 6 or deadline is not None:
+    if pool is None:
         return _search_exact_k(closed, full, m, k, deadline=deadline)
 
     prefixes: list[tuple[int, ...]] = [()]
     for depth in range(1, m):
         prefixes = [p + (b,) for p in prefixes for b in range(min(max(p, default=-1) + 2, k))]
-        if depth >= 2 and len(prefixes) >= 3 * jobs:
+        if depth >= 2 and len(prefixes) >= 3 * pool._max_workers:
             break
-    if len(prefixes) <= 1:
-        return _search_exact_k(closed, full, m, k, deadline=deadline)
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_search_worker, (closed, full, m, k, prefix))
-            for prefix in prefixes
-        ]
-        result = None
+    futures = [
+        pool.submit(_search_exact_k, closed, full, m, k, prefix, deadline) for prefix in prefixes
+    ]
+    try:
+        return next((o for o in (f.result() for f in futures) if o is not None), None)
+    finally:
         for future in futures:
-            labels = future.result()
-            if labels is not None:
-                result = labels
-                break
-        if result is not None:
-            for future in futures:
-                future.cancel()
-        return result
+            future.cancel()
+
+
+def _certified(g: Graph, labels: Sequence[int], k: int) -> EcCertificate:
+    """Certificate of a solver labeling; raises when the verifier rejects it."""
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    for e, b in enumerate(labels):
+        blocks[b].append(e)
+    cert = is_ec_partition(g, blocks)
+    if not cert:
+        raise NotAnEcPartition(
+            f"solver produced a partition its own verifier rejects: {cert.message()}"
+        )
+    return cert
 
 
 def edge_coalition_number(
@@ -411,14 +413,13 @@ def edge_coalition_number(
             f"graph has m={m} edges, above the exact-mode cap {max_edges}; "
             "raise the cap or use edge_coalition_lower_bound"
         )
-    for k in range(m, 0, -1):
-        labels = _find_partition_of_order(g, k, jobs)
-        if labels is not None:
-            blocks = _labels_to_blocks(labels, k)
-            cert = is_ec_partition(g, blocks)
-            assert cert, "solver produced a partition its own verifier rejects"
-            proof = "upper-bound-met" if k == m else "exhausted-search"
-            return EcResult(ec=k, certificate=cert, mode="exact", proof=proof)
+    with _search_pool(jobs, m) as pool:
+        for k in range(m, 0, -1):
+            labels = _find_partition_of_order(g, k, pool)
+            if labels is not None:
+                cert = _certified(g, labels, k)
+                proof = "upper-bound-met" if k == m else "exhausted-search"
+                return EcResult(ec=k, certificate=cert, mode="exact", proof=proof)
     raise NotAnEcPartition(
         "no ec-partition found; this contradicts the existence guarantee"
     )
@@ -442,18 +443,16 @@ def edge_coalition_lower_bound(
     if m == 0:
         raise EmptyGraph("EC is undefined for graphs without edges")
     overall_deadline = time.monotonic() + time_budget
-    for k in range(m, 0, -1):
-        remaining = overall_deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        slice_deadline = time.monotonic() + max(remaining / max(k, 1), 0.05)
-        outcome = _find_partition_of_order(g, k, jobs, deadline=min(slice_deadline, overall_deadline))
-        if outcome is _TIMEOUT or outcome is None:
-            continue
-        blocks = _labels_to_blocks(outcome, k)
-        cert = is_ec_partition(g, blocks)
-        assert cert
-        return EcResult(ec=k, certificate=cert, mode="lower_bound", proof=None)
+    with _search_pool(jobs, m) as pool:
+        for k in range(m, 0, -1):
+            remaining = overall_deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            slice_deadline = time.monotonic() + max(remaining / k, 0.05)
+            outcome = _find_partition_of_order(g, k, pool, min(slice_deadline, overall_deadline))
+            if isinstance(outcome, list):
+                cert = _certified(g, outcome, k)
+                return EcResult(ec=k, certificate=cert, mode="lower_bound", proof=None)
     raise BudgetExceeded(
         f"no ec-partition found within {time_budget:.1f}s for m={m}"
     )

@@ -76,6 +76,27 @@ class TestEc:
         assert code == 0
         assert json.loads(out)["ec"] == 5
 
+    @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["ec", "--family", "path:3", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_is_usage_error(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["ec", "--family", "path:3", "--lower-bound", f"--time-budget={budget}"])
+        assert exc.value.code == 2
+        assert "--time-budget" in capsys.readouterr().err
+
+    def test_zero_budget_is_budget_exit(self, capsys):
+        code, _, err = run_cli(
+            capsys, "ec", "--family", "path:3", "--lower-bound", "--time-budget", "0"
+        )
+        assert code == 3
+        assert err.startswith("error:")
+
 
 class TestGamma:
     def test_json(self, capsys):
@@ -128,6 +149,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "nonexistent edge" in err
+
+    @pytest.mark.parametrize("verb", ["verify", "ecg"])
+    def test_nested_block_member_is_usage_error(self, capsys, verb):
+        code, out, err = run_cli(
+            capsys, verb, "--family", "path:3", "--partition", "[[[0]],[1]]"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "edge indices" in err
 
     def test_bad_json_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--family", "path:6", "--partition", "nope")

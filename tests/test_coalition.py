@@ -1,11 +1,14 @@
 """Tests for coalition predicates, partition verification, and the solver."""
 
 import json
+import pickle
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eclab import coalition
 from eclab.coalition import (
     NO_PARTNER,
     NON_SINGLETON_DOMINATING,
@@ -165,6 +168,10 @@ class TestIsEcPartition:
         with pytest.raises(InvalidPartition, match="nonexistent edge"):
             validate_partition(path_graph(3), [[True], [False]])
 
+    def test_unhashable_block_member_rejected(self):
+        with pytest.raises(InvalidPartition, match="unhashable"):
+            validate_partition(path_graph(3), [[[0]], [1]])
+
     @settings(max_examples=50)
     @given(small_graphs(min_m=1), st.data())
     def test_certificate_reverifies_from_scratch(self, g, data):
@@ -264,6 +271,75 @@ class TestSolver:
     def test_value_within_trivial_range(self, g):
         result = edge_coalition_number(g)
         assert 1 <= result.ec <= g.m
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace the solver's process pool with one that runs each task inline
+    at submit time, on a host patched to two cores; returns the pools made."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self._max_workers = max_workers
+            self.deadlines = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, closed, full, m, k, prefix, deadline):
+            self.deadlines.append(deadline)
+            future = Future()
+            future.set_result(fn(closed, full, m, k, prefix, deadline))
+            return future
+
+    monkeypatch.setattr(coalition, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(coalition.os, "cpu_count", lambda: 2)
+    return pools
+
+
+class TestSearchRoute:
+    def test_one_pool_per_run(self, inline_pools):
+        result = edge_coalition_number(path_graph(8), jobs=2)
+        assert len(inline_pools) == 1
+        assert len(inline_pools[0].deadlines) > 15  # several orders, one pool
+        assert result == edge_coalition_number(path_graph(8))
+
+    def test_workers_capped_at_core_count(self, inline_pools):
+        edge_coalition_number(path_graph(8), jobs=3)
+        assert [pool._max_workers for pool in inline_pools] == [2]
+
+    @pytest.mark.parametrize("g, jobs", [(path_graph(8), 1), (path_graph(6), 2)])
+    def test_serial_route_opens_no_pool(self, inline_pools, g, jobs):
+        edge_coalition_number(g, jobs=jobs)
+        edge_coalition_lower_bound(g, jobs=jobs)
+        assert inline_pools == []
+
+    def test_lower_bound_sends_deadline_to_every_task(self, inline_pools):
+        result = edge_coalition_lower_bound(path_graph(8), jobs=2)
+        assert result.ec == 5 and result.mode == "lower_bound"
+        assert len(inline_pools) == 1
+        deadlines = inline_pools[0].deadlines
+        assert deadlines and all(d is not None for d in deadlines)
+
+    def test_timeout_outcome_survives_pickling(self):
+        assert pickle.loads(pickle.dumps(coalition._TIMEOUT)) == coalition._TIMEOUT
+
+    @pytest.mark.parametrize(
+        "solve", [edge_coalition_number, edge_coalition_lower_bound], ids=["exact", "lower"]
+    )
+    def test_rejected_solver_labeling_raises(self, monkeypatch, solve):
+        # The singleton partition of P6 is no ec-partition: edge 2 has no partner.
+        def singletons(closed, full, m, k, prefix=(), deadline=None):
+            return list(range(m))
+
+        monkeypatch.setattr(coalition, "_search_exact_k", singletons)
+        with pytest.raises(NotAnEcPartition, match="block 2 has no partner"):
+            solve(P6)
 
 
 class TestCoalitionGraph:
