@@ -19,6 +19,7 @@ labeling of that order.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,12 +31,13 @@ from .domination import _cover_mask, check_edge_set, edge_domination_number
 from .errors import (
     BlockIndexOutOfRange,
     BudgetExceeded,
+    EclabError,
     EmptyGraph,
     EmptySet,
     InvalidPartition,
     NotAnEcPartition,
 )
-from .graphs import Graph
+from .graphs import Graph, _bfs_distances, are_isomorphic
 
 DEFAULT_EXACT_EDGE_CAP = 16
 
@@ -437,8 +439,11 @@ def edge_coalition_lower_bound(
     the budget; orders that neither succeed nor get refuted in time are
     skipped downward.  The first order that yields a partition gives a
     certificate; the value is exact only if no higher order was skipped,
-    and the result is always labeled "lower_bound".
+    and the result is always labeled "lower_bound".  A non-finite budget
+    would never time out, so it raises :class:`EclabError`.
     """
+    if not math.isfinite(time_budget):
+        raise EclabError(f"time_budget must be a finite number of seconds, got {time_budget!r}")
     m = g.m
     if m == 0:
         raise EmptyGraph("EC is undefined for graphs without edges")
@@ -471,8 +476,6 @@ def is_singleton_ec_graph(g: Graph) -> bool:
 def is_self_edge_coalition_graph(g: Graph) -> bool:
     """True iff g is isomorphic to the coalition graph of its own singleton
     partition (which must itself be an ec-partition)."""
-    from .graphs import are_isomorphic
-
     if g.m == 0:
         raise EmptyGraph("EC is undefined for graphs without edges")
     cert, covers = _verify(g, singleton_partition(g))
@@ -574,24 +577,19 @@ def ec_bounds(g: Graph) -> BoundReport:
 
 
 def _complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
-    """(r, s) with r <= s when g is a complete bipartite graph, else None."""
-    from .graphs import _is_connected
+    """(r, s) with r <= s when g is a complete bipartite graph, else None.
 
-    if g.n < 2 or g.m == 0 or not _is_connected(g):
+    The sides are the parities of the BFS distances from vertex 0: a
+    connected graph is bipartite iff no edge joins two vertices of equal
+    parity, and then it is complete bipartite iff m = r * s.
+    """
+    if g.m == 0:
         return None
-    color = [-1] * g.n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if color[u] < 0:
-                color[u] = 1 - color[v]
-                stack.append(u)
-            elif color[u] == color[v]:
-                return None
-    r = color.count(0)
-    s = color.count(1)
+    dist = _bfs_distances(g, 0)
+    if min(dist) < 0 or any(dist[u] % 2 == dist[v] % 2 for u, v in g.edges):
+        return None
+    s = sum(d % 2 for d in dist)
+    r = g.n - s
     if g.m != r * s:
         return None
     return (min(r, s), max(r, s))

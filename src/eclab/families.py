@@ -14,19 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidSpec, NotATree, NotUnicyclic
-from .graphs import Graph, are_isomorphic, graph_metrics
+from .graphs import Graph, _eccentricities, _is_connected, are_isomorphic
 
-_KINDS = ("path", "cycle", "star", "double_star", "complete", "complete_bipartite")
-_CLI_ALIASES = {
-    "path": "path",
-    "cycle": "cycle",
-    "star": "star",
-    "dstar": "double_star",
-    "double_star": "double_star",
-    "complete": "complete",
-    "kbip": "complete_bipartite",
-    "complete_bipartite": "complete_bipartite",
-}
+#: Every family kind with its short CLI name; ``FamilySpec.parse`` accepts
+#: either spelling, in any case.
 _CLI_NAMES = {
     "path": "path",
     "cycle": "cycle",
@@ -45,7 +36,7 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _CLI_NAMES:
             raise InvalidSpec(f"unknown family kind {self.kind!r}")
         p = self.params
         ok = {
@@ -63,13 +54,14 @@ class FamilySpec:
     def parse(cls, text: str) -> "FamilySpec":
         """Parse a CLI spec string such as ``"dstar:3,2"``."""
         name, sep, rest = text.partition(":")
-        if not sep or name.lower() not in _CLI_ALIASES:
+        kind = next((k for k, short in _CLI_NAMES.items() if name.lower() in (k, short)), None)
+        if not sep or kind is None:
             raise InvalidSpec(f"cannot parse family spec {text!r}")
         try:
             params = tuple(int(part) for part in rest.split(","))
         except ValueError as exc:
             raise InvalidSpec(f"cannot parse family spec {text!r}") from exc
-        return cls(_CLI_ALIASES[name.lower()], params)
+        return cls(kind, params)
 
     def to_string(self) -> str:
         return f"{_CLI_NAMES[self.kind]}:" + ",".join(str(p) for p in self.params)
@@ -213,39 +205,25 @@ def phi_recognizer(t: Graph) -> bool:
 
     True exactly for trees of diameter at most 3, and diameter-4 trees in
     which the middle vertex of every longest path has degree 2.
+
+    At diameter 4 that middle vertex is always the center, the single
+    vertex of eccentricity 2, so the rule reads "the center has degree 2".
+    Proof: let v0..v4 be a longest path and let x meet it first at vi.
+    Then d(x, vi) <= min(i, 4 - i), or x would end a longer path, so
+    d(x, v2) <= min(i, 4 - i) + |i - 2| = 2 and v2 has eccentricity 2.
+    Any u with eccentricity 2 has d(u, v0) + d(u, v4) <= 4 = d(v0, v4),
+    so u lies on the path at distance 2 from both ends: u = v2.  Hence
+    one eccentricity pass gives both the diameter and the center.
     """
-    metrics = graph_metrics(t)
-    if not metrics.tree or t.m < 1:
+    if t.m < 1 or t.m != t.n - 1 or not _is_connected(t):
         raise NotATree(f"expected a tree with at least one edge, got {t!r}")
-    diameter = metrics.diameter
-    assert diameter is not None
+    eccentricity = _eccentricities(t)
+    diameter = max(eccentricity)
     if diameter <= 3:
         return True
     if diameter != 4:
         return False
-    return all(t.degree(path[2]) == 2 for path in _all_paths_of_length(t, 4))
-
-
-def _all_paths_of_length(g: Graph, length: int) -> list[list[int]]:
-    """All simple paths with exactly ``length`` edges (each reported once)."""
-    out: list[list[int]] = []
-
-    def extend(path: list[int], visited: set[int]) -> None:
-        if len(path) == length + 1:
-            if path[0] < path[-1]:  # one orientation per path
-                out.append(list(path))
-            return
-        for u in g.neighbors(path[-1]):
-            if u not in visited:
-                path.append(u)
-                visited.add(u)
-                extend(path, visited)
-                path.pop()
-                visited.remove(u)
-
-    for start in range(g.n):
-        extend([start], {start})
-    return out
+    return t.degree(eccentricity.index(2)) == 2
 
 
 def _cycle_vertices(g: Graph) -> list[int]:
@@ -278,8 +256,7 @@ def theta_recognizer(g: Graph) -> bool:
     * C4 with pendant leaves at one or two of its vertices;
     * C5 with pendant leaves at exactly one vertex.
     """
-    metrics = graph_metrics(g)
-    if not metrics.unicyclic:
+    if g.m != g.n or g.n < 3 or not _is_connected(g):
         raise NotUnicyclic(f"expected a connected graph with m = n >= 3, got {g!r}")
     cycle = set(_cycle_vertices(g))
     cycle_len = len(cycle)
@@ -287,43 +264,28 @@ def theta_recognizer(g: Graph) -> bool:
     if not outside:
         return 3 <= cycle_len <= 6
 
-    leaves = [v for v in outside if g.degree(v) == 1]
     attach_points = {
         c for c in cycle if any(u not in cycle for u in g.neighbors(c))
     }
-
-    if cycle_len == 3:
-        if len(leaves) == len(outside):
-            # Only pendant leaves hang off the triangle.
-            return all(any(u in cycle for u in g.neighbors(v)) for v in leaves)
-        # One depth-two tail: a single inner vertex w adjacent to exactly one
-        # cycle vertex, all of w's other neighbors leaves, nothing else.
-        inner = [v for v in outside if g.degree(v) > 1]
-        if len(inner) != 1 or len(attach_points) != 1:
-            return False
-        w = inner[0]
-        attach = next(iter(attach_points))
-        if w not in g.neighbors(attach):
-            return False
-        if set(g.neighbors(attach)) - cycle != {w}:
-            return False
-        return all(u == attach or g.degree(u) == 1 for u in g.neighbors(w))
-
-    if cycle_len == 4:
-        if len(leaves) != len(outside):
-            return False
-        if not all(any(u in cycle for u in g.neighbors(v)) for v in leaves):
-            return False
-        return len(attach_points) in (1, 2)
-
-    if cycle_len == 5:
-        if len(leaves) != len(outside):
-            return False
-        if not all(any(u in cycle for u in g.neighbors(v)) for v in leaves):
-            return False
-        return len(attach_points) == 1
-
-    return False
+    if all(g.degree(v) == 1 and any(u in cycle for u in g.neighbors(v)) for v in outside):
+        # Only pendant leaves hang off the cycle.
+        return {3: True, 4: len(attach_points) in (1, 2), 5: len(attach_points) == 1}.get(
+            cycle_len, False
+        )
+    if cycle_len != 3:
+        return False
+    # One depth-two tail: a single inner vertex w adjacent to exactly one
+    # cycle vertex, all of w's other neighbors leaves, nothing else.
+    inner = [v for v in outside if g.degree(v) > 1]
+    if len(inner) != 1 or len(attach_points) != 1:
+        return False
+    w = inner[0]
+    attach = next(iter(attach_points))
+    if w not in g.neighbors(attach):
+        return False
+    if set(g.neighbors(attach)) - cycle != {w}:
+        return False
+    return all(u == attach or g.degree(u) == 1 for u in g.neighbors(w))
 
 
 class SmallEcClass(enum.Enum):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DuplicateEdge,
@@ -189,7 +188,7 @@ def graph_metrics(g: Graph) -> GraphMetrics:
     connected = _is_connected(g)
     tree = connected and g.m == n - 1
     unicyclic = connected and g.m == n and n >= 3
-    diameter = _diameter(g) if connected and n > 0 else None
+    diameter = max(_eccentricities(g)) if connected and n > 0 else None
     return GraphMetrics(
         min_degree=min_deg,
         max_degree=max_deg,
@@ -221,20 +220,11 @@ def longest_path_length(g: Graph) -> int:
 
 
 def _is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
+    return g.n <= 1 or min(_bfs_distances(g, 0)) >= 0
 
 
 def _bfs_distances(g: Graph, start: int) -> list[int]:
+    """Edge distance from ``start`` to every vertex; -1 where unreachable."""
     dist = [-1] * g.n
     dist[start] = 0
     queue = deque([start])
@@ -247,10 +237,9 @@ def _bfs_distances(g: Graph, start: int) -> list[int]:
     return dist
 
 
-def _diameter(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return max(max(_bfs_distances(g, v)) for v in range(g.n))
+def _eccentricities(g: Graph) -> list[int]:
+    """Greatest BFS distance from each vertex (``g`` must be connected)."""
+    return [max(_bfs_distances(g, v)) for v in range(g.n)]
 
 
 def _mask_to_indices(mask: int) -> list[int]:

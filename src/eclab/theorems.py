@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .coalition import (
     coalition_graph,
@@ -49,7 +49,7 @@ from .families import (
     theta_recognizer,
     two_disjoint_edges,
 )
-from .graphs import Graph, are_isomorphic, graph_metrics
+from .graphs import Graph, _is_connected, are_isomorphic
 from .oracle import CorpusSpec, brute_force_ec, enumerate_corpus
 
 
@@ -85,14 +85,20 @@ def _bound_corpus() -> tuple[Graph, ...]:
     return tuple(graphs)
 
 
+def _closed_form_mismatch(specs: Iterable[FamilySpec]) -> str | None:
+    """The first family member whose solver EC differs from ``closed_form_ec``."""
+    for spec in specs:
+        got, want = _ec(generate(spec)), closed_form_ec(spec)
+        if got != want:
+            return f"{spec.to_string()}: solver {got} != closed form {want}"
+    return None
+
+
 def _check_paths() -> CheckResult:
     """EC of paths: n-1 up to P5, then 4, 5, 5, 5, 5, and 6 from P11 on."""
-    for n in range(2, 15):
-        spec = FamilySpec("path", (n,))
-        want = closed_form_ec(spec)
-        got = _ec(generate(spec))
-        if got != want:
-            return CheckResult("paths-closed-form", False, f"P_{n}: solver {got} != table {want}")
+    bad = _closed_form_mismatch(FamilySpec("path", (n,)) for n in range(2, 15))
+    if bad:
+        return CheckResult("paths-closed-form", False, bad)
     witness = _solve(path_graph(13)).certificate
     if witness.order != 6:
         return CheckResult("paths-closed-form", False, f"P_13 witness order {witness.order} != 6")
@@ -101,44 +107,30 @@ def _check_paths() -> CheckResult:
 
 def _check_cycles() -> CheckResult:
     """EC of cycles: n up to C6, 5 at C7, then 6."""
-    for n in range(3, 13):
-        spec = FamilySpec("cycle", (n,))
-        want = closed_form_ec(spec)
-        got = _ec(generate(spec))
-        if got != want:
-            return CheckResult("cycles-closed-form", False, f"C_{n}: solver {got} != table {want}")
+    bad = _closed_form_mismatch(FamilySpec("cycle", (n,)) for n in range(3, 13))
+    if bad:
+        return CheckResult("cycles-closed-form", False, bad)
     return CheckResult("cycles-closed-form", True, "cycles n=3..12 match")
 
 
 def _check_stars() -> CheckResult:
     """EC of stars is the leaf count; EC of double stars is p+q+1."""
-    for s in range(1, 9):
-        got = _ec(star_graph(s))
-        if got != s:
-            return CheckResult("stars-and-double-stars", False, f"star {s}: {got} != {s}")
-    checked = 0
-    for p in range(0, 9):
-        for q in range(0, p + 1):
-            if p + q + 1 > 9:
-                continue
-            spec = FamilySpec("double_star", (p, q))
-            got = _ec(generate(spec))
-            if got != p + q + 1:
-                return CheckResult(
-                    "stars-and-double-stars", False, f"S({p},{q}): {got} != {p + q + 1}"
-                )
-            checked += 1
+    double_stars = [
+        FamilySpec("double_star", (p, q)) for p in range(9) for q in range(p + 1) if p + q + 1 <= 9
+    ]
+    bad = _closed_form_mismatch([FamilySpec("star", (s,)) for s in range(1, 9)] + double_stars)
+    if bad:
+        return CheckResult("stars-and-double-stars", False, bad)
     return CheckResult(
-        "stars-and-double-stars", True, f"stars n=1..8 and {checked} double stars match"
+        "stars-and-double-stars", True, f"stars n=1..8 and {len(double_stars)} double stars match"
     )
 
 
 def _check_complete() -> CheckResult:
     """EC(K_n) = n(n-1)/2 exactly for n = 2..5; K6 computed exactly and < 15."""
-    for n in range(2, 6):
-        got = _ec(complete_graph(n))
-        if got != n * (n - 1) // 2:
-            return CheckResult("complete-graphs", False, f"K_{n}: {got} != {n * (n - 1) // 2}")
+    bad = _closed_form_mismatch(FamilySpec("complete", (n,)) for n in range(2, 6))
+    if bad:
+        return CheckResult("complete-graphs", False, bad)
     k4 = _ec(complete_graph(4))
     if k4 != 2 * (4 - 1):
         return CheckResult("complete-graphs", False, f"K_4 even-order bound not sharp: {k4}")
@@ -173,7 +165,7 @@ def _check_small_ec() -> CheckResult:
     for g in corpus:
         value = _ec(g)
         cls = small_ec_classifier(g)
-        connected = graph_metrics(g).connected
+        connected = _is_connected(g)
         expected_cls = {1: SmallEcClass.EC1, 2: SmallEcClass.EC2, 3: SmallEcClass.EC3}.get(
             value, SmallEcClass.OTHER
         )
@@ -273,7 +265,7 @@ def _check_partner_cap() -> CheckResult:
     """In every computed maximum certificate, no block exceeds 2*Delta - 1 partners."""
     checked = 0
     for g in _bound_corpus():
-        delta = graph_metrics(g).max_degree
+        delta = max(map(g.degree, range(g.n)))
         if delta < 2:
             continue
         cert = _solve(g).certificate
@@ -387,8 +379,7 @@ def _check_spot_checks() -> CheckResult:
             return CheckResult("singleton-ec-spot-checks", False, f"{name}: not singleton-ec")
     count = 0
     for g in _connected_corpus():
-        metrics = graph_metrics(g)
-        if metrics.tree or metrics.unicyclic:
+        if g.m <= g.n:  # a connected graph with m <= n is a tree or unicyclic
             continue
         count += 1
         if (_ec(g) == g.m) != is_singleton_ec_graph(g):

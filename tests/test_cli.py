@@ -98,6 +98,15 @@ class TestEc:
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("verb", ["ec", "gamma", "verify", "bounds"])
+def test_dot_format_is_usage_error_outside_ecg(capsys, verb):
+    # Only ecg renders DOT; the other verbs would silently print text.
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--family", "path:4", "--format", "dot"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 class TestGamma:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--family", "complete:4", "--format", "json")
@@ -222,6 +231,7 @@ class TestBounds:
         code, out, _ = run_cli(capsys, "bounds", "--family", "star:5", "--format", "json")
         assert code == 0
         entries = json.loads(out)
+        assert all(list(e) == ["source", "kind", "value", "applicable", "reason"] for e in entries)
         by_source = {e["source"]: e for e in entries}
         assert not by_source["twice-gamma-minus-one"]["applicable"]
 

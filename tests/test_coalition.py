@@ -33,6 +33,7 @@ from eclab.domination import is_edge_dominating_set
 from eclab.errors import (
     BlockIndexOutOfRange,
     BudgetExceeded,
+    EclabError,
     EmptyGraph,
     EmptySet,
     GraphMismatch,
@@ -265,6 +266,16 @@ class TestSolver:
         assert result.mode == "lower_bound"
         assert result.ec == 4  # small instance: the budget is ample
         assert is_ec_partition(P6, result.certificate.blocks)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_lower_bound_rejects_non_finite_budget(self, monkeypatch, budget):
+        # Such a budget never runs out, so every order would run to the end.
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched with a non-finite budget")
+
+        monkeypatch.setattr(coalition, "_find_partition_of_order", no_search)
+        with pytest.raises(EclabError, match="time_budget"):
+            edge_coalition_lower_bound(P6, time_budget=budget)
 
     @settings(max_examples=25, deadline=None)
     @given(small_graphs(min_m=1))
@@ -564,6 +575,26 @@ def test_bound_report_golden(name):
     g, expected = BOUND_GOLDEN[name]
     entries = [(e.source, e.kind, e.value, e.applicable, e.reason) for e in ec_bounds(g).entries]
     assert entries == expected
+
+
+@pytest.mark.parametrize(
+    "g, parts",
+    [
+        (cycle_graph(4), (2, 2)),
+        (complete_bipartite(3, 3), (3, 3)),
+        (star_graph(3), (1, 3)),
+        (complete_graph(2), (1, 1)),
+        (cycle_graph(6), None),  # bipartite, but m = 6 != 3 * 3
+        (path_graph(4), None),
+        (complete_graph(3), None),  # an edge joins two vertices of equal parity
+        (paw_graph(), None),  # the same, although m = 4 = 2 * 2
+        (two_disjoint_edges(), None),  # disconnected
+        (Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)]), None),  # P5+K1
+    ],
+    ids=["C4", "K3,3", "star:3", "K2", "C6", "P4", "K3", "paw", "2K2", "P5+K1"],
+)
+def test_complete_bipartite_parts(g, parts):
+    assert coalition._complete_bipartite_parts(g) == parts
 
 
 class TestCertificateJson:

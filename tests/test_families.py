@@ -2,6 +2,7 @@
 
 import pytest
 
+import eclab.graphs
 from eclab.coalition import edge_coalition_number, is_singleton_ec_graph
 from eclab.errors import InvalidSpec, NotATree, NotUnicyclic
 from eclab.families import (
@@ -25,6 +26,8 @@ from eclab.families import (
     two_disjoint_edges,
 )
 from eclab.graphs import Graph, graph_metrics
+from eclab.oracle import CorpusSpec, enumerate_corpus
+from eclab.theorems import run_check
 
 
 class TestSpecsAndGenerators:
@@ -34,11 +37,19 @@ class TestSpecsAndGenerators:
             assert spec.to_string() == text
 
     @pytest.mark.parametrize(
-        "bad", ["path", "path:1", "cycle:2", "star:0", "dstar:1,2", "kbip:0,3", "blob:4", "path:x"]
+        "bad",
+        ["path", "path:1", "cycle:2", "star:0", "dstar:1,2", "kbip:0,3", "blob:4", "path:x",
+         "double:3,2", "d_star:3,2"],
     )
     def test_invalid_specs(self, bad):
         with pytest.raises(InvalidSpec):
             FamilySpec.parse(bad)
+
+    def test_parse_accepts_kind_or_short_name_in_any_case(self):
+        for text in ("double_star:3,2", "DSTAR:3,2", "Double_Star:3,2"):
+            assert FamilySpec.parse(text) == FamilySpec("double_star", (3, 2))
+        for text in ("complete_bipartite:2,4", "KBIP:2,4"):
+            assert FamilySpec.parse(text).to_string() == "kbip:2,4"
 
     def test_path(self):
         g = path_graph(6)
@@ -190,3 +201,39 @@ class TestSpotCheckGraphs:
         assert edge_coalition_number(complete_bipartite(2, 2)).ec == 4
         assert edge_coalition_number(complete_bipartite(2, 3)).ec >= 6
         assert edge_coalition_number(complete_bipartite(3, 3)).ec >= 6
+
+
+@pytest.fixture
+def no_longest_path(monkeypatch):
+    """Make the exhaustive longest-path search raise wherever it is reached."""
+
+    def tripwire(g):
+        raise AssertionError(f"exhaustive longest-path search on {g!r}")
+
+    monkeypatch.setattr(eclab.graphs, "longest_path_length", tripwire)
+    with pytest.raises(AssertionError):
+        graph_metrics(path_graph(3))  # the tripwire is live
+
+
+class TestNoLongestPathSearch:
+    """Shape questions are answered by BFS alone; none of these reads a
+    longest path, so none may pay for the exponential search."""
+
+    def test_phi_recognizer(self, no_longest_path):
+        for g in enumerate_corpus(CorpusSpec(8, ("trees",))):
+            if g.m >= 1:
+                phi_recognizer(g)
+
+    def test_theta_recognizer(self, no_longest_path):
+        for g in enumerate_corpus(CorpusSpec(7, ("unicyclic",))):
+            theta_recognizer(g)
+
+    def test_small_ec_classifier(self, no_longest_path):
+        for g in enumerate_corpus(CorpusSpec(5, ("all",))):
+            small_ec_classifier(g)
+
+    @pytest.mark.parametrize(
+        "tag", ["small-ec-classes", "partner-cap", "singleton-ec-spot-checks"]
+    )
+    def test_theorem_checks(self, no_longest_path, tag):
+        assert run_check(tag).passed
