@@ -4,8 +4,9 @@ Verbs: ``ec``, ``gamma``, ``verify``, ``ecg``, ``bounds``, ``generate``,
 ``corpus``, ``theorems``.  Graphs come either from a family spec string
 (``--family path:6``) or an edge-list file (``--graph g.el``).  Exit codes:
 0 success, 1 negative verification (or failed theorem checks), 2 usage
-error, 3 budget exceeded.  The environment variable ``ECLAB_MAX_EDGES``
-overrides the exact-mode edge cap.
+error, 3 budget exceeded, 141 (128 + SIGPIPE) when the reader of stdout
+hung up.  The environment variable ``ECLAB_MAX_EDGES`` overrides the
+exact-mode edge cap.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -326,7 +328,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so the exit flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

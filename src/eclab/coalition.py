@@ -267,7 +267,9 @@ def _search_exact_k(
         deficiency that no remaining edge can cover must already be covered
         by some other existing block that is not itself dominating.
 
-    A block is empty exactly when its cover is 0, because N[e] contains e.
+    At depths below ``len(prefix)`` only the prefix label is tried, so a
+    work-split prefix passes the same checks as the serial route.  A block
+    is empty exactly when its cover is 0, because N[e] contains e.
     """
     rem = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -276,18 +278,6 @@ def _search_exact_k(
     labels = [0] * m
     covers = [0] * k
     used = 0
-
-    def assign(i: int, b: int) -> bool:
-        """Apply labels[i] = b if legal; returns False when pruned."""
-        nonlocal used
-        new_cover = covers[b] | closed[i]
-        if covers[b] and new_cover == full:
-            return False
-        labels[i] = b
-        covers[b] = new_cover
-        if b == used:
-            used += 1
-        return True
 
     def partners_feasible(i: int) -> bool:
         r = rem[i]
@@ -302,13 +292,6 @@ def _search_exact_k(
                 return False
         return True
 
-    # Replay the prefix through the same legality checks.
-    for i, b in enumerate(prefix):
-        if b > used or b >= k or not assign(i, b):
-            return None
-        if used + (m - i - 1) < k or not partners_feasible(i + 1):
-            return None
-
     counter = 0
 
     def rec(i: int) -> bool:
@@ -321,11 +304,18 @@ def _search_exact_k(
             return used == k  # partners_feasible(m) held before descending here
         if used + (m - i) < k:
             return False
-        limit = min(used + 1, k)
-        for b in range(limit):
+        tries = range(min(used + 1, k))
+        if i < len(prefix):  # the prefix label alone, and only if it is legal here
+            tries = tries[prefix[i] : prefix[i] + 1]
+        for b in tries:
             old_cover = covers[b]
-            if not assign(i, b):
+            new_cover = old_cover | closed[i]
+            if old_cover and new_cover == full:
                 continue
+            labels[i] = b
+            covers[b] = new_cover
+            if not old_cover:
+                used += 1
             if partners_feasible(i + 1) and rec(i + 1):
                 return True
             covers[b] = old_cover
@@ -334,19 +324,10 @@ def _search_exact_k(
         return False
 
     try:
-        found = rec(len(prefix))
+        found = rec(0)
     except _SearchTimeout:
         return _TIMEOUT
     return list(labels) if found else None
-
-
-def _search_pool(jobs: int, m: int):
-    """The run's one process pool: ``min(jobs, cpu count)`` workers, or a
-    null context (the serial route) when that is 1 or the graph is small."""
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or m < 6:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _find_partition_of_order(
@@ -356,8 +337,8 @@ def _find_partition_of_order(
 
     With a pool, the tree is split on every restricted-growth prefix with
     labels below k, at the shallowest depth >= 2 that gives each worker
-    three; the prefix replay in :func:`_search_exact_k` drops the illegal
-    ones.  Every task carries the deadline.  Outcomes are read in
+    three; :func:`_search_exact_k` drops the illegal ones by the serial
+    route's checks.  Every task carries the deadline.  Outcomes are read in
     lexicographic prefix order, so the witness is the serial one.
     """
     closed = g.closed_edge_masks()
@@ -394,6 +375,31 @@ def _certified(g: Graph, labels: Sequence[int], k: int) -> EcCertificate:
     return cert
 
 
+def _largest_order(g: Graph, jobs: int, deadline: float | None = None):
+    """``(k, certificate)`` for the first order k = m, m-1, ... the search
+    fills, or None.  One pool of ``min(jobs, cpu count)`` workers serves the
+    run, or none (the serial route) when that is 1 or the graph is small.
+    Without a deadline every order runs to the end, so k is the maximum;
+    with one, each order gets ``max(remaining / k, 0.05)`` seconds, capped
+    at the deadline, and an order that times out is skipped downward.
+    """
+    m = g.m
+    workers = min(jobs, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and m >= 6 else nullcontext()
+    with pool as pool:
+        for k in range(m, 0, -1):
+            order_deadline = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                order_deadline = min(time.monotonic() + max(remaining / k, 0.05), deadline)
+            outcome = _find_partition_of_order(g, k, pool, order_deadline)
+            if isinstance(outcome, list):
+                return k, _certified(g, outcome, k)
+    return None
+
+
 def edge_coalition_number(
     g: Graph,
     *,
@@ -415,16 +421,12 @@ def edge_coalition_number(
             f"graph has m={m} edges, above the exact-mode cap {max_edges}; "
             "raise the cap or use edge_coalition_lower_bound"
         )
-    with _search_pool(jobs, m) as pool:
-        for k in range(m, 0, -1):
-            labels = _find_partition_of_order(g, k, pool)
-            if labels is not None:
-                cert = _certified(g, labels, k)
-                proof = "upper-bound-met" if k == m else "exhausted-search"
-                return EcResult(ec=k, certificate=cert, mode="exact", proof=proof)
-    raise NotAnEcPartition(
-        "no ec-partition found; this contradicts the existence guarantee"
-    )
+    found = _largest_order(g, jobs)
+    if found is None:
+        raise NotAnEcPartition("no ec-partition found; this contradicts the existence guarantee")
+    k, cert = found
+    proof = "upper-bound-met" if k == m else "exhausted-search"
+    return EcResult(ec=k, certificate=cert, mode="exact", proof=proof)
 
 
 def edge_coalition_lower_bound(
@@ -447,20 +449,11 @@ def edge_coalition_lower_bound(
     m = g.m
     if m == 0:
         raise EmptyGraph("EC is undefined for graphs without edges")
-    overall_deadline = time.monotonic() + time_budget
-    with _search_pool(jobs, m) as pool:
-        for k in range(m, 0, -1):
-            remaining = overall_deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            slice_deadline = time.monotonic() + max(remaining / k, 0.05)
-            outcome = _find_partition_of_order(g, k, pool, min(slice_deadline, overall_deadline))
-            if isinstance(outcome, list):
-                cert = _certified(g, outcome, k)
-                return EcResult(ec=k, certificate=cert, mode="lower_bound", proof=None)
-    raise BudgetExceeded(
-        f"no ec-partition found within {time_budget:.1f}s for m={m}"
-    )
+    found = _largest_order(g, jobs, time.monotonic() + time_budget)
+    if found is None:
+        raise BudgetExceeded(f"no ec-partition found within {time_budget:.1f}s for m={m}")
+    k, cert = found
+    return EcResult(ec=k, certificate=cert, mode="lower_bound", proof=None)
 
 
 # --- derived predicates -----------------------------------------------------

@@ -259,16 +259,18 @@ def _mask_to_indices(mask: int) -> list[int]:
 def are_isomorphic(g1: Graph, g2: Graph, *, max_vertices: int = DEFAULT_ISO_VERTEX_CAP) -> bool:
     """Exact isomorphism test by degree refinement plus backtracking.
 
-    Intended for small graphs; raises :class:`SizeLimitExceeded` when either
-    graph has more than ``max_vertices`` vertices.
+    Intended for small graphs.  Graphs whose vertex or edge counts differ
+    are non-isomorphic at any size; otherwise raises
+    :class:`SizeLimitExceeded` when they have more than ``max_vertices``
+    vertices.
     """
-    if max(g1.n, g2.n) > max_vertices:
+    if g1.n != g2.n or g1.m != g2.m:
+        return False
+    if g1.n > max_vertices:
         raise SizeLimitExceeded(
             f"isomorphism test limited to {max_vertices} vertices, "
             f"got {g1.n} and {g2.n}"
         )
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
     n = g1.n
     if n == 0:
         return True

@@ -94,71 +94,63 @@ def _closed_form_mismatch(specs: Iterable[FamilySpec]) -> str | None:
     return None
 
 
-def _check_paths() -> CheckResult:
+def _check_paths() -> tuple[bool, str]:
     """EC of paths: n-1 up to P5, then 4, 5, 5, 5, 5, and 6 from P11 on."""
     bad = _closed_form_mismatch(FamilySpec("path", (n,)) for n in range(2, 15))
     if bad:
-        return CheckResult("paths-closed-form", False, bad)
+        return False, bad
     witness = _solve(path_graph(13)).certificate
     if witness.order != 6:
-        return CheckResult("paths-closed-form", False, f"P_13 witness order {witness.order} != 6")
-    return CheckResult("paths-closed-form", True, "paths n=2..14 match; P_13 witness has 6 blocks")
+        return False, f"P_13 witness order {witness.order} != 6"
+    return True, "paths n=2..14 match; P_13 witness has 6 blocks"
 
 
-def _check_cycles() -> CheckResult:
+def _check_cycles() -> tuple[bool, str]:
     """EC of cycles: n up to C6, 5 at C7, then 6."""
     bad = _closed_form_mismatch(FamilySpec("cycle", (n,)) for n in range(3, 13))
     if bad:
-        return CheckResult("cycles-closed-form", False, bad)
-    return CheckResult("cycles-closed-form", True, "cycles n=3..12 match")
+        return False, bad
+    return True, "cycles n=3..12 match"
 
 
-def _check_stars() -> CheckResult:
+def _check_stars() -> tuple[bool, str]:
     """EC of stars is the leaf count; EC of double stars is p+q+1."""
     double_stars = [
         FamilySpec("double_star", (p, q)) for p in range(9) for q in range(p + 1) if p + q + 1 <= 9
     ]
     bad = _closed_form_mismatch([FamilySpec("star", (s,)) for s in range(1, 9)] + double_stars)
     if bad:
-        return CheckResult("stars-and-double-stars", False, bad)
-    return CheckResult(
-        "stars-and-double-stars", True, f"stars n=1..8 and {len(double_stars)} double stars match"
-    )
+        return False, bad
+    return True, f"stars n=1..8 and {len(double_stars)} double stars match"
 
 
-def _check_complete() -> CheckResult:
+def _check_complete() -> tuple[bool, str]:
     """EC(K_n) = n(n-1)/2 exactly for n = 2..5; K6 computed exactly and < 15."""
     bad = _closed_form_mismatch(FamilySpec("complete", (n,)) for n in range(2, 6))
     if bad:
-        return CheckResult("complete-graphs", False, bad)
+        return False, bad
     k4 = _ec(complete_graph(4))
     if k4 != 2 * (4 - 1):
-        return CheckResult("complete-graphs", False, f"K_4 even-order bound not sharp: {k4}")
+        return False, f"K_4 even-order bound not sharp: {k4}"
     k6 = _ec(complete_graph(6))
     if not 2 * (6 - 1) <= k6 < 15:
-        return CheckResult("complete-graphs", False, f"EC(K_6) = {k6} outside [10, 15)")
-    return CheckResult(
-        "complete-graphs", True, f"K_2..K_5 attain m; EC(K_6) = {k6} < 15; K_4 sharp at 2(n-1)"
-    )
+        return False, f"EC(K_6) = {k6} outside [10, 15)"
+    return True, f"K_2..K_5 attain m; EC(K_6) = {k6} < 15; K_4 sharp at 2(n-1)"
 
 
-def _check_bipartite() -> CheckResult:
+def _check_bipartite() -> tuple[bool, str]:
     """EC(K_{2,2}) = 4 sharp at 2s; EC(K_{2,3}) >= 6 and EC(K_{2,4}) >= 8."""
     k22 = _ec(complete_bipartite(2, 2))
     if k22 != 4:
-        return CheckResult("complete-bipartite", False, f"K_2,2: {k22} != 4")
+        return False, f"K_2,2: {k22} != 4"
     k23 = _ec(complete_bipartite(2, 3))
     k24 = _ec(complete_bipartite(2, 4))
     if k23 < 6 or k24 < 8:
-        return CheckResult(
-            "complete-bipartite", False, f"lower bounds missed: K_2,3 -> {k23}, K_2,4 -> {k24}"
-        )
-    return CheckResult(
-        "complete-bipartite", True, f"K_2,2 = 4; K_2,3 = {k23} >= 6; K_2,4 = {k24} >= 8"
-    )
+        return False, f"lower bounds missed: K_2,3 -> {k23}, K_2,4 -> {k24}"
+    return True, f"K_2,2 = 4; K_2,3 = {k23} >= 6; K_2,4 = {k24} >= 8"
 
 
-def _check_small_ec() -> CheckResult:
+def _check_small_ec() -> tuple[bool, str]:
     """EC = 1 only for K2; EC = 2 only for P3 and 2K2; EC = 3 (connected)
     only for C3, P4, K_{1,3}."""
     corpus = list(_connected_corpus()) + [two_disjoint_edges()]
@@ -170,21 +162,15 @@ def _check_small_ec() -> CheckResult:
             value, SmallEcClass.OTHER
         )
         if value in (1, 2) and cls != expected_cls:
-            return CheckResult(
-                "small-ec-classes", False, f"{g.edges}: EC={value} but class {cls.name}"
-            )
+            return False, f"{g.edges}: EC={value} but class {cls.name}"
         if value == 3 and connected and cls != SmallEcClass.EC3:
-            return CheckResult(
-                "small-ec-classes", False, f"{g.edges}: EC=3, connected, class {cls.name}"
-            )
+            return False, f"{g.edges}: EC=3, connected, class {cls.name}"
         if cls != SmallEcClass.OTHER and value != cls.value:
-            return CheckResult(
-                "small-ec-classes", False, f"{g.edges}: class {cls.name} but EC={value}"
-            )
-    return CheckResult("small-ec-classes", True, f"{len(corpus)} graphs classified consistently")
+            return False, f"{g.edges}: class {cls.name} but EC={value}"
+    return True, f"{len(corpus)} graphs classified consistently"
 
 
-def _check_trees() -> CheckResult:
+def _check_trees() -> tuple[bool, str]:
     """For every tree up to 9 vertices: EC(T) = n-1 iff the recognizer accepts."""
     count = 0
     for g in enumerate_corpus(CorpusSpec(9, ("trees",))):
@@ -192,18 +178,18 @@ def _check_trees() -> CheckResult:
             continue
         count += 1
         if (_ec(g) == g.n - 1) != phi_recognizer(g):
-            return CheckResult("trees-phi", False, f"counterexample: {g.edges}")
-    return CheckResult("trees-phi", True, f"{count} trees agree with the recognizer")
+            return False, f"counterexample: {g.edges}"
+    return True, f"{count} trees agree with the recognizer"
 
 
-def _check_unicyclic() -> CheckResult:
+def _check_unicyclic() -> tuple[bool, str]:
     """For every unicyclic graph up to 8 vertices: EC(G) = n iff the recognizer accepts."""
     count = 0
     for g in enumerate_corpus(CorpusSpec(8, ("unicyclic",))):
         count += 1
         if (_ec(g) == g.n) != theta_recognizer(g):
-            return CheckResult("unicyclic-theta", False, f"counterexample: {g.edges}")
-    return CheckResult("unicyclic-theta", True, f"{count} unicyclic graphs agree")
+            return False, f"counterexample: {g.edges}"
+    return True, f"{count} unicyclic graphs agree"
 
 
 @dataclass(frozen=True)
@@ -240,7 +226,7 @@ def p3_bound_sharp() -> bool:
     return sharp and _ec(p3) == 2
 
 
-def _check_bounds() -> CheckResult:
+def _check_bounds() -> tuple[bool, str]:
     """Every applicable bound must hold on the corpus, with P3 sharp.
 
     Reports FAIL: spiders with >= 3 legs of length 2 satisfy the stated
@@ -255,13 +241,11 @@ def _check_bounds() -> CheckResult:
         failures.append("P3 sharpness of the universal-vertex bound failed")
     if failures:
         preview = "; ".join(failures[:3])
-        return CheckResult(
-            "bound-suite", False, f"{len(failures)} violations, e.g. {preview}"
-        )
-    return CheckResult("bound-suite", True, f"all applicable bounds hold on {len(_bound_corpus())} graphs")
+        return False, f"{len(failures)} violations, e.g. {preview}"
+    return True, f"all applicable bounds hold on {len(_bound_corpus())} graphs"
 
 
-def _check_partner_cap() -> CheckResult:
+def _check_partner_cap() -> tuple[bool, str]:
     """In every computed maximum certificate, no block exceeds 2*Delta - 1 partners."""
     checked = 0
     for g in _bound_corpus():
@@ -273,10 +257,8 @@ def _check_partner_cap() -> CheckResult:
         for i in range(cert.order):
             checked += 1
             if ecg.degree(i) > 2 * delta - 1:
-                return CheckResult(
-                    "partner-cap", False, f"{g.edges}: block {i} exceeds 2*Delta-1"
-                )
-    return CheckResult("partner-cap", True, f"{checked} blocks within the partner cap")
+                return False, f"{g.edges}: block {i} exceeds 2*Delta-1"
+    return True, f"{checked} blocks within the partner cap"
 
 
 def k24_preset_mismatches() -> tuple[str, ...]:
@@ -321,7 +303,7 @@ def self_coalition_census() -> tuple[Graph, ...]:
     return tuple(g for g in corpus if is_self_edge_coalition_graph(g))
 
 
-def _check_coalition_graphs() -> CheckResult:
+def _check_coalition_graphs() -> tuple[bool, str]:
     """Coalition graphs of K_{2,4} presets and stars; self-coalition census.
 
     Reports FAIL on the census clause: the expected answer admits only C5
@@ -333,28 +315,24 @@ def _check_coalition_graphs() -> CheckResult:
     """
     bad_presets = k24_preset_mismatches()
     if bad_presets:
-        return CheckResult("coalition-graph-theorems", False, f"preset {bad_presets[0]} mismatch")
+        return False, f"preset {bad_presets[0]} mismatch"
     bad_stars = star_ecg_mismatches()
     if bad_stars:
-        return CheckResult(
-            "coalition-graph-theorems", False, f"star ECG wrong at n={bad_stars[0]}"
-        )
+        return False, f"star ECG wrong at n={bad_stars[0]}"
 
     expected = (cycle_graph(5), net_graph())
     hits = self_coalition_census()
     unexpected = [g.edges for g in hits if not any(are_isomorphic(g, t) for t in expected)]
     missing = [t.edges for t in expected if not any(are_isomorphic(g, t) for g in hits)]
     if missing or unexpected:
-        return CheckResult(
-            "coalition-graph-theorems",
-            False,
+        return False, (
             "self-coalition census differs from the expected two-graph answer: "
-            f"extra hits {unexpected}, missing {missing}",
+            f"extra hits {unexpected}, missing {missing}"
         )
-    return CheckResult("coalition-graph-theorems", True, "presets, stars, and census all match")
+    return True, "presets, stars, and census all match"
 
 
-def _check_oracle() -> CheckResult:
+def _check_oracle() -> tuple[bool, str]:
     """Solver EC equals brute-force EC on every corpus graph with m <= 9."""
     count = 0
     for g in _bound_corpus():
@@ -364,32 +342,28 @@ def _check_oracle() -> CheckResult:
         fast = _ec(g)
         slow = brute_force_ec(g)
         if fast != slow:
-            return CheckResult(
-                "oracle-equivalence", False, f"{g.edges}: solver {fast} != oracle {slow}"
-            )
-    return CheckResult("oracle-equivalence", True, f"{count} graphs agree with the oracle")
+            return False, f"{g.edges}: solver {fast} != oracle {slow}"
+    return True, f"{count} graphs agree with the oracle"
 
 
-def _check_spot_checks() -> CheckResult:
+def _check_spot_checks() -> tuple[bool, str]:
     """Hand-encoded dense spot checks reach EC = m; EC = m iff singleton-ec."""
     for name, g in SINGLETON_EC_SPOT_CHECKS.items():
         if _ec(g) != g.m:
-            return CheckResult("singleton-ec-spot-checks", False, f"{name}: EC != m")
+            return False, f"{name}: EC != m"
         if not is_singleton_ec_graph(g):
-            return CheckResult("singleton-ec-spot-checks", False, f"{name}: not singleton-ec")
+            return False, f"{name}: not singleton-ec"
     count = 0
     for g in _connected_corpus():
         if g.m <= g.n:  # a connected graph with m <= n is a tree or unicyclic
             continue
         count += 1
         if (_ec(g) == g.m) != is_singleton_ec_graph(g):
-            return CheckResult("singleton-ec-spot-checks", False, f"inconsistent at {g.edges}")
-    return CheckResult(
-        "singleton-ec-spot-checks", True, f"3 spot checks and {count} dense graphs consistent"
-    )
+            return False, f"inconsistent at {g.edges}"
+    return True, f"3 spot checks and {count} dense graphs consistent"
 
 
-def _check_gamma_identity() -> CheckResult:
+def _check_gamma_identity() -> tuple[bool, str]:
     """gamma'(G) equals the vertex domination number of the line graph;
     gamma' of K_n and K_{n/2,n/2} is n/2 at the stated orders."""
     count = 0
@@ -398,17 +372,18 @@ def _check_gamma_identity() -> CheckResult:
             continue
         count += 1
         if edge_domination_number(g).gamma_prime != gamma_prime_via_line_graph(g):
-            return CheckResult("gamma-prime-identity", False, f"identity fails at {g.edges}")
+            return False, f"identity fails at {g.edges}"
     for n in (4, 6, 8):
         if edge_domination_number(complete_graph(n)).gamma_prime != n // 2:
-            return CheckResult("gamma-prime-identity", False, f"K_{n} != {n // 2}")
+            return False, f"K_{n} != {n // 2}"
     for r in (2, 3):
         if edge_domination_number(complete_bipartite(r, r)).gamma_prime != r:
-            return CheckResult("gamma-prime-identity", False, f"K_{r},{r} != {r}")
-    return CheckResult("gamma-prime-identity", True, f"{count} graphs plus K_n/K_r,r cases agree")
+            return False, f"K_{r},{r} != {r}"
+    return True, f"{count} graphs plus K_n/K_r,r cases agree"
 
 
-CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
+# Each check returns (passed, detail); its tag is named here and only here.
+CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("paths-closed-form", _check_paths),
     ("cycles-closed-form", _check_cycles),
     ("stars-and-double-stars", _check_stars),
@@ -429,18 +404,17 @@ CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
 def run_check(tag: str) -> CheckResult:
     for name, fn in CHECKS:
         if name == tag:
-            return fn()
+            return CheckResult(tag, *fn())
     raise KeyError(f"unknown check tag {tag!r}")
 
 
-def run_all(tags: tuple[str, ...] | None = None, echo: bool = True) -> list[CheckResult]:
+def run_all(tags: tuple[str, ...] | None = None) -> list[CheckResult]:
     """Run the suite (optionally a subset) and print one line per check."""
     selected = CHECKS if tags is None else [(t, fn) for t, fn in CHECKS if t in tags]
     results = []
     for tag, fn in selected:
-        result = fn()
+        result = CheckResult(tag, *fn())
         results.append(result)
-        if echo:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"{status}  {tag:28s} {result.detail}")
+        status = "PASS" if result.passed else "FAIL"
+        print(f"{status}  {tag:28s} {result.detail}")
     return results

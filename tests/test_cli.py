@@ -291,3 +291,16 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ec"] == 4
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_pipe_exits_141(fmt):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eclab.cli", "ec", "--family", "path:13", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader hangs up before anything is written
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""

@@ -353,6 +353,38 @@ class TestSearchRoute:
             solve(P6)
 
 
+def _search_with_prefix(g, k, prefix):
+    return coalition._search_exact_k(g.closed_edge_masks(), g.full_edge_mask, g.m, k, prefix)
+
+
+class TestPrefixPrunes:
+    """A work-split prefix passes through the same legality checks as the
+    serial search; each case is refuted by the rule it names."""
+
+    def test_label_jump(self):
+        assert _search_with_prefix(P6, 4, (0, 2)) is None
+
+    def test_label_at_or_above_k(self):
+        assert _search_with_prefix(P6, 2, (0, 1, 2)) is None
+
+    def test_dominating_block_with_two_edges(self):
+        # Edges 1, 2, 3 of K3,3 dominate it.  Without this rule the search
+        # returns [0, 1, 1, 1, 0, 2, 3, 4, 5].
+        assert _search_with_prefix(complete_bipartite(3, 3), 6, (0, 1, 1, 1)) is None
+
+    def test_reachability(self):
+        # Without the k-block count the search returns [0, 0, 0, 1, 1].  The
+        # early cut on unreachable k only saves work, so no result shows it.
+        assert _search_with_prefix(P6, 5, (0, 0)) is None
+
+    def test_partner_feasibility(self):
+        # Without this rule the search returns [0, 0, 1, 2, 3].
+        assert _search_with_prefix(P6, 4, (0, 0)) is None
+
+    def test_legal_prefix_gives_pinned_witness(self):
+        assert _search_with_prefix(P6, 4, (0, 1)) == [0, 1, 0, 2, 3]
+
+
 class TestCoalitionGraph:
     def test_p6_partition_gives_paw(self):
         ecg = coalition_graph(P6, P6_PARTITION)

@@ -189,6 +189,9 @@ class TestSmallEcClassifier:
     def test_examples(self, graph, expected):
         assert small_ec_classifier(graph) == expected
 
+    def test_graph_above_iso_cap_is_other(self):
+        assert small_ec_classifier(path_graph(13)) == SmallEcClass.OTHER
+
 
 class TestSpotCheckGraphs:
     def test_dense_spot_checks_reach_m(self):

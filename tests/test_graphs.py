@@ -194,6 +194,9 @@ class TestIsomorphism:
             are_isomorphic(big, big)
         assert are_isomorphic(big, big, max_vertices=13)
 
+    def test_size_cap_not_reached_when_counts_differ(self):
+        assert not are_isomorphic(path_graph(13), complete_graph(2))
+
     @settings(max_examples=50)
     @given(small_graphs(), st.randoms(use_true_random=False))
     def test_invariant_under_relabeling(self, g, rng):
