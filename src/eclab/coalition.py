@@ -37,7 +37,7 @@ from .errors import (
     InvalidPartition,
     NotAnEcPartition,
 )
-from .graphs import Graph, _bfs_distances, are_isomorphic
+from .graphs import Graph, _bfs_distances, are_isomorphic, is_full_edge
 
 DEFAULT_EXACT_EDGE_CAP = 16
 
@@ -517,9 +517,7 @@ def ec_bounds(g: Graph) -> BoundReport:
     n = g.n
     degrees = [g.degree(v) for v in range(n)]
     delta = min(degrees)
-    has_full_edge = any(
-        g.edge_neighbor_mask(e).bit_count() == m - 1 for e in range(m)
-    )
+    has_full_edge = any(is_full_edge(g, e) for e in range(m))
     has_isolated_edge = any(g.edge_neighbor_mask(e) == 0 for e in range(m))
     is_complete = m == n * (n - 1) // 2 and n >= 2
     universal = sum(1 for d in degrees if d == n - 1)

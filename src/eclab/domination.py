@@ -61,32 +61,21 @@ class DominationResult:
 def edge_domination_number(g: Graph) -> DominationResult:
     """Minimum size of an edge dominating set, with a deterministic witness.
 
-    A greedy maximal matching (always dominating) caps the search; subsets
-    are then scanned in increasing cardinality and lexicographic order, so
-    the witness is the lexicographically least minimum set.
+    Subsets are scanned in increasing cardinality and lexicographic order,
+    so the witness is the lexicographically least minimum set.  The scan
+    ends by size m at the latest, where the whole edge set dominates; only
+    a graph without edges falls through, with 0 and the empty set.
     """
-    m = g.m
-    if m == 0:
-        return DominationResult(0, frozenset())
-    matched: set[int] = set()
-    greedy = []
-    for e, (u, v) in enumerate(g.edges):
-        if u not in matched and v not in matched:
-            matched.update((u, v))
-            greedy.append(e)
-    upper = len(greedy)
-
     masks = g.closed_edge_masks()
     full = g.full_edge_mask
-    for size in range(1, upper + 1):
-        for combo in combinations(range(m), size):
+    for size in range(1, g.m + 1):
+        for combo in combinations(range(g.m), size):
             cover = 0
             for e in combo:
                 cover |= masks[e]
             if cover == full:
                 return DominationResult(size, frozenset(combo))
-    # The greedy matching itself dominates, so the loop above cannot fail.
-    return DominationResult(upper, frozenset(greedy))
+    return DominationResult(0, frozenset())
 
 
 def vertex_domination_number(g: Graph) -> int:

@@ -257,7 +257,7 @@ def _mask_to_indices(mask: int) -> list[int]:
 
 
 def are_isomorphic(g1: Graph, g2: Graph, *, max_vertices: int = DEFAULT_ISO_VERTEX_CAP) -> bool:
-    """Exact isomorphism test by degree refinement plus backtracking.
+    """Exact isomorphism test: do the two graphs have the same canonical form?
 
     Intended for small graphs.  Graphs whose vertex or edge counts differ
     are non-isomorphic at any size; otherwise raises
@@ -271,85 +271,63 @@ def are_isomorphic(g1: Graph, g2: Graph, *, max_vertices: int = DEFAULT_ISO_VERT
             f"isomorphism test limited to {max_vertices} vertices, "
             f"got {g1.n} and {g2.n}"
         )
-    n = g1.n
-    if n == 0:
-        return True
-
-    colors = _joint_refinement(g1, g2)
-    if colors is None:
-        return False
-    c1, c2 = colors
-
-    # Map most-constrained vertices first: small color classes, high degree.
-    class_size = {c: c1.count(c) for c in set(c1)}
-    order = sorted(range(n), key=lambda v: (class_size[c1[v]], -g1.degree(v), v))
-    candidates = {v: [w for w in range(n) if c2[w] == c1[v]] for v in order}
-
-    mapping = [-1] * n
-    used = [False] * n
-    adj1 = [set(g1.neighbors(v)) for v in range(n)]
-    adj2 = [set(g2.neighbors(v)) for v in range(n)]
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in adj1[v]:
-                mu = mapping[u]
-                if mu >= 0 and mu not in adj2[w]:
-                    ok = False
-                    break
-            if ok:
-                # Non-adjacency must be preserved too; with equal degrees it
-                # suffices that every mapped neighbor lands on a neighbor.
-                mapped_nbrs = sum(1 for u in adj1[v] if mapping[u] >= 0)
-                placed_nbrs = sum(1 for x in adj2[w] if used[x])
-                if mapped_nbrs != placed_nbrs:
-                    ok = False
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return backtrack(0)
+    return _canonical_form(g1) == _canonical_form(g2)
 
 
-def _joint_refinement(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
-    """Iterate neighbor-color refinement on both graphs with a shared palette.
+def _canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(n, sorted relabelled edges)``: equal for two graphs iff they are isomorphic.
 
-    Returns per-vertex color lists, or ``None`` when the color multisets
-    diverge (the graphs are certainly non-isomorphic).
+    Colour refinement plus individualisation (McKay & Piperno, *Practical
+    graph isomorphism II*, 2014):
+
+    * Refinement recolours every vertex by the rank of its signature (own
+      colour, sorted neighbour colours) until the colour count stops
+      growing.  Ranks depend on colours only, never on vertex labels.
+    * While some colour class (cell) has several vertices, take the
+      smallest such cell of lowest colour (again a choice on colours only),
+      give each of its vertices in turn a colour just below the rest of
+      the cell, and refine again.
+    * Once every cell is one vertex, the colours number the vertices
+      0..n-1 and the relabelled edge list is a leaf.  The form is the least
+      leaf.  Relabelling ``g`` relabels its search tree but leaves every
+      leaf as it is, so the form is an invariant; every leaf is a copy of
+      ``g``, so equal forms mean isomorphic graphs.
+    * Twins are branched on once.  If u and v have equal open or equal
+      closed neighbourhoods, swapping them is an automorphism of ``g`` that
+      fixes the colouring (both lie in the chosen cell), so it maps the
+      subtree under u onto the subtree under v with the same leaves.
     """
-    n = g1.n
-    c1 = [g1.degree(v) for v in range(n)]
-    c2 = [g2.degree(v) for v in range(n)]
-    for _ in range(n):
-        if sorted(c1) != sorted(c2):
-            return None
-        palette: dict[tuple, int] = {}
+    n, adj = g.n, g._adj
+    nbrs = [sum(1 << u for u in adj[v]) for v in range(n)]
+    best = None
 
-        def recolor(g: Graph, c: list[int]) -> list[int]:
-            out = []
-            for v in range(g.n):
-                sig = (c[v], tuple(sorted(c[u] for u in g.neighbors(v))))
-                out.append(palette.setdefault(sig, len(palette)))
-            return out
+    def search(colors: list[int]) -> None:
+        nonlocal best
+        while True:  # refine to a stable colouring
+            sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
+            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            stable = len(rank) == len(set(colors))
+            colors = [rank[sig] for sig in sigs]
+            if stable:
+                break
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        open_cells = [cell for cell in cells.values() if len(cell) > 1]
+        if not open_cells:
+            leaf = tuple(sorted(tuple(sorted((colors[u], colors[v]))) for u, v in g.edges))
+            best = leaf if best is None else min(best, leaf)
+            return
+        cell = min(open_cells, key=lambda c: (len(c), colors[c[0]]))
+        tried: set[int] = set()  # an open mask never equals a closed one: v is not in N(v)
+        for v in cell:
+            twins = (nbrs[v], nbrs[v] | 1 << v)
+            if tried.isdisjoint(twins):
+                tried.update(twins)
+                search([2 * c + (w != v) for w, c in enumerate(colors)])
 
-        n1, n2 = recolor(g1, c1), recolor(g2, c2)
-        if n1 == c1 and n2 == c2:
-            break
-        c1, c2 = n1, n2
-    if sorted(c1) != sorted(c2):
-        return None
-    return c1, c2
+    search([0] * n)
+    return n, best
 
 
 # --- edge-list text format ------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import BudgetExceeded, TooManyEdges
-from .graphs import Graph, are_isomorphic, format_edge_list
+from .graphs import Graph, _canonical_form, format_edge_list
 
 ORACLE_EDGE_CAP = 10
 
@@ -216,21 +216,9 @@ def _extend_with_leaf(bases: tuple[Graph, ...], n: int) -> list[Graph]:
     return out
 
 
-def _invariant_key(g: Graph) -> tuple:
-    degs = sorted(g.degree(v) for v in range(g.n))
-    nbr_degs = tuple(
-        sorted(tuple(sorted(g.degree(u) for u in g.neighbors(v))) for v in range(g.n))
-    )
-    return (g.m, tuple(degs), nbr_degs)
-
-
 def _dedup(candidates: list[Graph]) -> tuple[Graph, ...]:
-    buckets: dict[tuple, list[Graph]] = {}
-    kept: list[Graph] = []
+    """The first candidate of each isomorphism class, in candidate order."""
+    kept: dict[tuple, Graph] = {}
     for g in candidates:
-        key = _invariant_key(g)
-        bucket = buckets.setdefault(key, [])
-        if not any(are_isomorphic(g, other) for other in bucket):
-            bucket.append(g)
-            kept.append(g)
-    return tuple(kept)
+        kept.setdefault(_canonical_form(g), g)
+    return tuple(kept.values())

@@ -1,6 +1,7 @@
 """Tests for graph construction, edge structure, metrics, and isomorphism."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,44 @@ def small_graphs(draw, max_n=6, min_m=0, max_m=None):
         st.lists(st.sampled_from(all_pairs), unique=True, min_size=min_m, max_size=cap)
     )
     return Graph(n, picked)
+
+
+def _disjoint_cycles(*lengths: int) -> Graph:
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return Graph(start, edges)
+
+
+def _prism(k: int) -> Graph:
+    """Two k-cycles joined by a perfect matching (k = 3: the triangular prism)."""
+    g = _disjoint_cycles(k, k)
+    return Graph(2 * k, list(g.edges) + [(i, i + k) for i in range(k)])
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def _frucht() -> Graph:
+    """Cubic on 12 vertices with no automorphism but the identity (LCF notation)."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    chords = {tuple(sorted((i, (i + lcf[i]) % 12))) for i in range(12)}
+    return Graph(12, [(i, (i + 1) % 12) for i in range(12)] + sorted(chords))
+
+
+def _cocktail_party(k: int) -> Graph:
+    """K_2k minus a perfect matching."""
+    return Graph(2 * k, [(u, v) for u in range(2 * k) for v in range(u + 1, 2 * k) if v != u + k])
+
+
+def _relabeled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in reversed(g.edges)])
 
 
 class TestConstruction:
@@ -182,11 +221,27 @@ class TestIsomorphism:
     def test_line_star_vs_complete(self):
         assert are_isomorphic(line_graph(star_graph(4)), complete_graph(4))
 
-    def test_same_degree_sequence_different_graphs(self):
-        # C6 vs 2*C3: both 2-regular on six vertices.
-        c6 = cycle_graph(6)
-        two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert not are_isomorphic(c6, two_triangles)
+    @pytest.mark.parametrize(
+        "g1,g2,expected",
+        [
+            (cycle_graph(6), _disjoint_cycles(3, 3), False),
+            (complete_bipartite(3, 3), _prism(3), False),
+            (cycle_graph(12), _disjoint_cycles(6, 6), False),
+            (_petersen(), _prism(5), False),
+            (_petersen(), _relabeled(_petersen(), 3), True),
+            (_cocktail_party(6), _relabeled(_cocktail_party(6), 7), True),
+            (_frucht(), _relabeled(_frucht(), 5), True),
+        ],
+        ids=[
+            "C6-2C3", "K33-prism", "C12-2C6", "petersen-prism5", "petersen", "cocktail-party",
+            "frucht",
+        ],
+    )
+    def test_regular_pairs_refinement_cannot_split(self, g1, g2, expected):
+        # Each pair is regular of equal degree and order, so colour
+        # refinement alone leaves one cell in both graphs.
+        assert are_isomorphic(g1, g2) is expected
+        assert are_isomorphic(g2, g1) is expected
 
     def test_size_cap(self):
         big = complete_graph(13)

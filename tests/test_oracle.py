@@ -167,6 +167,10 @@ class TestCorpusCounts:
         assert [len(graphs_of_order("trees", n)) for n in range(6, 11)] == [6, 11, 23, 47, 106]
         assert [len(graphs_of_order("unicyclic", n)) for n in range(6, 9)] == [13, 33, 89]
         assert len(graphs_of_order("connected", 6)) == 112
+        # OEIS: A000088 (all graphs), A001349 (connected), A001429 (unicyclic).
+        assert len(graphs_of_order("all", 6)) == 156
+        assert len(graphs_of_order("connected", 7)) == 853
+        assert [len(graphs_of_order("unicyclic", n)) for n in (9, 10)] == [240, 657]
 
     def test_pairwise_non_isomorphic(self):
         graphs = graphs_of_order("connected", 5)
