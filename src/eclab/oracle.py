@@ -12,15 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, TooManyEdges
+from .errors import BudgetExceeded, InvalidSpec, TooManyEdges
 from .graphs import Graph, _canonical_form, format_edge_list
 
 ORACLE_EDGE_CAP = 10
 
-#: Per corpus class: (smallest order enumerated, largest order allowed).
-_CLASSES = {"all": (1, 9), "connected": (1, 9), "trees": (1, 10), "unicyclic": (3, 10)}
+#: Per corpus class: (smallest order enumerated, largest order allowed, the
+#: neighbour sets of a new vertex n-1 as bit masks over the old vertices).
+_CLASSES = {
+    "all": (1, 9, lambda n: range(1 << (n - 1))),
+    "connected": (1, 9, lambda n: range(1, 1 << (n - 1))),
+    "trees": (1, 13, lambda n: [1 << v for v in range(n - 1)]),
+    "unicyclic": (3, 10, lambda n: [1 << v for v in range(n - 1)]),
+}
 
 
 def _edge_neighbor_sets(g: Graph) -> list[set[int]]:
@@ -132,7 +138,7 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         for cls in self.classes:
             if cls not in _CLASSES:
-                raise BudgetExceeded(f"unknown corpus class {cls!r}")
+                raise InvalidSpec(f"unknown corpus class {cls!r}")
             cap = _CLASSES[cls][1]
             if self.max_vertices > cap:
                 raise BudgetExceeded(
@@ -170,53 +176,32 @@ def export_corpus(spec: CorpusSpec, directory: str | Path) -> list[Path]:
 def graphs_of_order(cls: str, n: int) -> tuple[Graph, ...]:
     """Isomorphism-class representatives of the given class and order.
 
-    Built by augmenting the order n-1 corpus (new vertex joined to each
-    admissible neighbor subset, or a new leaf, plus the bare cycle for the
-    unicyclic class) and rejecting isomorphs of already-kept graphs.
+    One rule builds every class: the order n-1 corpus with a new vertex
+    n-1 joined to each neighbour set the class admits (the bare cycle C_n
+    comes first for the unicyclic class), streamed into the dedup, which
+    keeps the first candidate of each isomorphism class.
     """
-    cap = _CLASSES[cls][1]
+    if cls not in _CLASSES:
+        raise InvalidSpec(f"unknown corpus class {cls!r}")
+    first, cap, neighbor_masks = _CLASSES[cls]
     if n > cap:
         raise BudgetExceeded(f"class {cls!r} is capped at {cap} vertices")
-    if cls == "all":
-        if n == 1:
-            return (Graph(1),)
-        return _dedup(_extend_with_vertex(graphs_of_order(cls, n - 1), n, empty_ok=True))
-    if cls == "connected":
-        if n == 1:
-            return (Graph(1),)
-        return _dedup(_extend_with_vertex(graphs_of_order(cls, n - 1), n, empty_ok=False))
-    if cls == "trees":
-        if n == 1:
-            return (Graph(1),)
-        return _dedup(_extend_with_leaf(graphs_of_order(cls, n - 1), n))
-    # unicyclic
-    if n < 3:
+    if n < first:
         return ()
-    cycle = Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    candidates = [cycle]
-    if n > 3:
-        candidates.extend(_extend_with_leaf(graphs_of_order(cls, n - 1), n))
-    return _dedup(candidates)
+    if n == 1:
+        return (Graph(1),)
+    return _dedup(_augmentations(cls, n, neighbor_masks(n)))
 
 
-def _extend_with_vertex(bases: tuple[Graph, ...], n: int, empty_ok: bool) -> list[Graph]:
-    out = []
-    for g in bases:
-        for mask in range(0 if empty_ok else 1, 1 << (n - 1)):
-            extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
-            out.append(Graph(n, list(g.edges) + extra))
-    return out
+def _augmentations(cls: str, n: int, masks: Sequence[int]) -> Iterator[Graph]:
+    if cls == "unicyclic":
+        yield Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    for g in graphs_of_order(cls, n - 1):
+        for mask in masks:
+            yield Graph(n, list(g.edges) + [(v, n - 1) for v in range(n - 1) if mask >> v & 1])
 
 
-def _extend_with_leaf(bases: tuple[Graph, ...], n: int) -> list[Graph]:
-    out = []
-    for g in bases:
-        for v in range(n - 1):
-            out.append(Graph(n, list(g.edges) + [(v, n - 1)]))
-    return out
-
-
-def _dedup(candidates: list[Graph]) -> tuple[Graph, ...]:
+def _dedup(candidates: Iterable[Graph]) -> tuple[Graph, ...]:
     """The first candidate of each isomorphism class, in candidate order."""
     kept: dict[tuple, Graph] = {}
     for g in candidates:

@@ -270,6 +270,14 @@ class TestGenerateAndCorpus:
         )
         assert code == 3
 
+    def test_corpus_unknown_class_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "corpus", "--classes", "widgets", "--max-vertices", "4",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "unknown corpus class 'widgets'" in err
+
 
 class TestTheorems:
     def test_single_cheap_tag(self, capsys):

@@ -384,6 +384,18 @@ class TestPrefixPrunes:
     def test_legal_prefix_gives_pinned_witness(self):
         assert _search_with_prefix(P6, 4, (0, 1)) == [0, 1, 0, 2, 3]
 
+    @pytest.mark.parametrize("g, k", [(cycle_graph(11), 7), (path_graph(13), 8)])
+    def test_early_reachability_cut_bounds_the_nodes(self, monkeypatch, g, k):
+        # With a deadline set, the search reads the clock once per 4,096
+        # nodes, so the number of reads bounds the nodes.  These refutations
+        # take 3 or 4 reads; without the cut on unreachable k they take 28
+        # and 67.
+        reads = []
+        monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
+        masks = g.closed_edge_masks()
+        assert coalition._search_exact_k(masks, g.full_edge_mask, g.m, k, deadline=1e9) is None
+        assert len(reads) <= 8
+
 
 class TestCoalitionGraph:
     def test_p6_partition_gives_paw(self):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eclab.coalition import edge_coalition_number, is_ec_partition, validate_partition
-from eclab.errors import BudgetExceeded, TooManyEdges
+from eclab.errors import BudgetExceeded, InvalidSpec, TooManyEdges
 from eclab.families import cycle_graph, diamond_graph, path_graph, star_graph
 from eclab.graphs import Graph, are_isomorphic
 from eclab.oracle import (
@@ -164,10 +164,13 @@ class TestCorpusCounts:
     def test_frozen_larger_counts(self):
         # Counts at larger orders, frozen after the small-order enumerators
         # above agreed with the augmentation route.
-        assert [len(graphs_of_order("trees", n)) for n in range(6, 11)] == [6, 11, 23, 47, 106]
+        # OEIS: A000055 (trees), A000088 (all graphs), A001349 (connected),
+        # A001429 (unicyclic).
+        assert [len(graphs_of_order("trees", n)) for n in range(6, 13)] == [
+            6, 11, 23, 47, 106, 235, 551
+        ]
         assert [len(graphs_of_order("unicyclic", n)) for n in range(6, 9)] == [13, 33, 89]
         assert len(graphs_of_order("connected", 6)) == 112
-        # OEIS: A000088 (all graphs), A001349 (connected), A001429 (unicyclic).
         assert len(graphs_of_order("all", 6)) == 156
         assert len(graphs_of_order("connected", 7)) == 853
         assert [len(graphs_of_order("unicyclic", n)) for n in (9, 10)] == [240, 657]
@@ -198,9 +201,18 @@ class TestCorpusApi:
     def test_class_caps(self):
         with pytest.raises(BudgetExceeded):
             CorpusSpec(10, ("all",))
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(InvalidSpec):
             CorpusSpec(4, ("widgets",))
-        CorpusSpec(10, ("trees",))  # allowed
+        with pytest.raises(InvalidSpec):
+            graphs_of_order("widgets", 3)
+        with pytest.raises(BudgetExceeded):
+            CorpusSpec(14, ("trees",))
+        CorpusSpec(13, ("trees",))  # allowed
+
+    def test_below_first_order_is_empty(self):
+        assert graphs_of_order("trees", 0) == ()
+        assert graphs_of_order("all", 0) == ()
+        assert graphs_of_order("unicyclic", 2) == ()
 
     def test_export_file_names(self, tmp_path):
         written = export_corpus(CorpusSpec(4, ("trees",)), tmp_path)
