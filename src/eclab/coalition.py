@@ -11,10 +11,11 @@ Vocabulary used throughout:
   singleton partition puts every edge in its own block.
 
 Verification is pure set/bitmask arithmetic.  The solver searches for a
-feasible partition order k = m, m-1, ... by enumerating restricted-growth
-strings (canonical block labelings) with pruning, so the first feasible k
-is exact and the returned witness is the lexicographically least canonical
-labeling of that order.
+feasible partition order k = top, top-1, ..., where top is the smaller of
+m and the degree bound of :func:`_degree_bound`, by enumerating
+restricted-growth strings (canonical block labelings) with pruning, so the
+first feasible k is exact and the returned witness is the lexicographically
+least canonical labeling of that order.
 """
 
 from __future__ import annotations
@@ -101,9 +102,13 @@ class EcResult:
     """Coalition number plus its certificate.
 
     ``mode`` is "exact" or "lower_bound"; for exact results ``proof`` records
-    how optimality was established ("upper-bound-met" when the partition
-    reaches the trivial bound m, "exhausted-search" when every larger order
-    was refuted).
+    how optimality was established:
+
+    * "upper-bound-met": the partition reaches the trivial bound m;
+    * "degree-bound-met": it reaches the degree bound ⌊(Δ(L)+3)²/4⌋ of
+      the line graph L, which is below m;
+    * "exhausted-search": every order from min(m, degree bound) down to
+      ec + 1 was refuted.
     """
 
     ec: int
@@ -375,10 +380,55 @@ def _certified(g: Graph, labels: Sequence[int], k: int) -> EcCertificate:
     return cert
 
 
+def _degree_bound(closed: Sequence[int]) -> int:
+    """``(P + 2)**2 // 4`` with P the largest popcount of a closed mask: an
+    upper bound on EC.
+
+    P is Δ(L) + 1 for the line graph L = L(G), and the closed masks are the
+    closed neighbourhoods of L, so ec-partitions of G are the coalition
+    partitions of L and this is C(L) <= ⌊(Δ(L) + 3)²/4⌋ of Haynes,
+    Hedetniemi, Hedetniemi, McRae and Mohan, *Upper bounds on the coalition
+    number*, Australas. J. Combin. 80 (2021).  The argument, in edge terms:
+
+    Take an ec-partition with k blocks.  If a block is a full edge e, then
+    N[e] holds every edge, so k <= m <= P <= (P + 2)²/4.  Otherwise no block
+    dominates, so every block has a partner.  Let C be the coalition graph
+    on the k blocks; it has no isolated vertex.
+
+    (a) For every edge y the blocks meeting N[y] cover every edge of C (a
+        partner pair dominates y, so one of the two meets N[y]), and there
+        are at most |N[y]| <= P of them.  A block B does not dominate, so
+        some edge y has N[y] disjoint from B, and that cover avoids B.  In
+        particular B has at most P partners (the partner lemma).
+    (b) Let T be a minimum vertex cover of C, c = |T| <= P by (a), and I
+        the other k - c blocks.  I is independent, so every block of I has
+        all its partners, at least one, in T.  For an independent Q ⊆ T
+        let N_I(Q) be its partners in I; then |N_I(Q)| >= |Q|, because
+        (T - Q) ∪ N_I(Q) is again a cover.
+    (c) For w in T, the complement J of a cover from (a) that avoids w is
+        independent, holds w and has at least k - P blocks.  Q = J ∩ T is
+        independent, holds w, and J misses N_I(Q), so
+        k - P <= |Q| + |I| - |N_I(Q)|, that is |N_I(Q)| <= |Q| + P - c.
+    (d) Cover T by sets Q_1, ..., Q_r from (c), each holding a block of T
+        not in E_j = Q_1 ∪ ... ∪ Q_{j-1}, so r <= c.  The blocks of I first
+        reached by Q_j number at most |N_I(Q_j)| - |N_I(Q_j ∩ E_j)|, which
+        is at most |Q_j - E_j| + P - c by (c) and by (b) for Q_j ∩ E_j.
+        Every block of I is reached, so, with r <= c and c <= P,
+        k - c = |I| <= c + r(P - c) <= c(P + 1 - c).
+
+    Hence k <= c(P + 2 - c) <= (P + 2)²/4, and k is an integer.  The bound
+    is 6 on every path and cycle, and it meets m only on small or dense
+    graphs.
+    """
+    return (max(mask.bit_count() for mask in closed) + 2) ** 2 // 4
+
+
 def _largest_order(g: Graph, jobs: int, deadline: float | None = None):
-    """``(k, certificate)`` for the first order k = m, m-1, ... the search
-    fills, or None.  One pool of ``min(jobs, cpu count)`` workers serves the
-    run, or none (the serial route) when that is 1 or the graph is small.
+    """``(k, certificate)`` for the first order k = top, top-1, ... the
+    search fills, or None, where top = min(m, :func:`_degree_bound`), as no
+    larger order can be filled.  One pool of ``min(jobs, cpu count)``
+    workers serves the run, or none (the serial route) when that is 1 or
+    the graph is small.
     Without a deadline every order runs to the end, so k is the maximum;
     with one, each order gets ``max(remaining / k, 0.05)`` seconds, capped
     at the deadline, and an order that times out is skipped downward.
@@ -387,7 +437,7 @@ def _largest_order(g: Graph, jobs: int, deadline: float | None = None):
     workers = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and m >= 6 else nullcontext()
     with pool as pool:
-        for k in range(m, 0, -1):
+        for k in range(min(m, _degree_bound(g.closed_edge_masks())), 0, -1):
             order_deadline = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
@@ -408,8 +458,9 @@ def edge_coalition_number(
 ) -> EcResult:
     """Exact edge coalition number with a verified certificate.
 
-    Searches partition orders k = m, m-1, ... and returns at the first
-    feasible order, so the result is the maximum.  Raises
+    Searches partition orders downward from the degree bound
+    min(m, ⌊(Δ(L)+3)²/4⌋), above which no order is feasible, and returns
+    at the first feasible order, so the result is the maximum.  Raises
     :class:`EmptyGraph` when m = 0 and :class:`BudgetExceeded` when m
     exceeds ``max_edges`` (enumeration grows like the Bell numbers).
     """
@@ -425,7 +476,12 @@ def edge_coalition_number(
     if found is None:
         raise NotAnEcPartition("no ec-partition found; this contradicts the existence guarantee")
     k, cert = found
-    proof = "upper-bound-met" if k == m else "exhausted-search"
+    if k == m:
+        proof = "upper-bound-met"
+    elif k == _degree_bound(g.closed_edge_masks()):
+        proof = "degree-bound-met"
+    else:
+        proof = "exhausted-search"
     return EcResult(ec=k, certificate=cert, mode="exact", proof=proof)
 
 
@@ -437,12 +493,13 @@ def edge_coalition_lower_bound(
 ) -> EcResult:
     """Best certified lower bound on EC(g) found within a time budget.
 
-    Runs the same descending-order search but gives each order a slice of
-    the budget; orders that neither succeed nor get refuted in time are
-    skipped downward.  The first order that yields a partition gives a
-    certificate; the value is exact only if no higher order was skipped,
-    and the result is always labeled "lower_bound".  A non-finite budget
-    would never time out, so it raises :class:`EclabError`.
+    Runs the same descending-order search, from the same degree bound, but
+    gives each order a slice of the budget; orders that neither succeed nor
+    get refuted in time are skipped downward.  The first order that yields
+    a partition gives a certificate; the value is exact only if no higher
+    order was skipped, and the result is always labeled "lower_bound".  A
+    non-finite budget would never time out, so it raises
+    :class:`EclabError`.
     """
     if not math.isfinite(time_budget):
         raise EclabError(f"time_budget must be a finite number of seconds, got {time_budget!r}")

@@ -139,6 +139,9 @@ class CorpusSpec:
         for cls in self.classes:
             if cls not in _CLASSES:
                 raise InvalidSpec(f"unknown corpus class {cls!r}")
+            if self.classes.count(cls) > 1:
+                # A second pass would overwrite the first one's exported files.
+                raise InvalidSpec(f"corpus class {cls!r} is listed more than once")
             cap = _CLASSES[cls][1]
             if self.max_vertices > cap:
                 raise BudgetExceeded(

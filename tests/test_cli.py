@@ -278,6 +278,16 @@ class TestGenerateAndCorpus:
         assert code == 2
         assert "unknown corpus class 'widgets'" in err
 
+    def test_corpus_repeated_class_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "corpus", "--classes", "trees,trees", "--max-vertices", "5",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "'trees' is listed more than once" in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestTheorems:
     def test_single_cheap_tag(self, capsys):

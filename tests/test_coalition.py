@@ -1,5 +1,6 @@
 """Tests for coalition predicates, partition verification, and the solver."""
 
+import itertools
 import json
 import pickle
 from concurrent.futures import Future
@@ -52,7 +53,7 @@ from eclab.families import (
     two_disjoint_edges,
 )
 from eclab.graphs import Graph, are_isomorphic
-from eclab.oracle import CorpusSpec, enumerate_corpus
+from eclab.oracle import CorpusSpec, brute_force_ec, enumerate_corpus
 
 from test_graphs import small_graphs
 
@@ -220,6 +221,9 @@ class TestSolver:
 
     def test_proof_tag(self):
         assert edge_coalition_number(cycle_graph(5)).proof == "upper-bound-met"
+        assert edge_coalition_number(path_graph(14)).proof == "degree-bound-met"
+        assert edge_coalition_number(cycle_graph(13)).proof == "degree-bound-met"
+        # P6: m = 5 is below its degree bound 6, and order 5 is refuted.
         assert edge_coalition_number(P6).proof == "exhausted-search"
 
     def test_empty_graph_rejected(self):
@@ -282,6 +286,98 @@ class TestSolver:
     def test_value_within_trivial_range(self, g):
         result = edge_coalition_number(g)
         assert 1 <= result.ec <= g.m
+
+
+def _disjoint_union(*parts: Graph) -> Graph:
+    edges, n = [], 0
+    for g in parts:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return Graph(n, edges)
+
+
+_COMPONENTS = {
+    "K2": complete_graph(2),
+    "P3": path_graph(3),
+    "P4": path_graph(4),
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "K1,3": star_graph(3),
+}
+
+# Graphs whose degree bound is below m, for the oracle.  Below m <= 9 it
+# needs Δ(L) <= 2, which leaves P8-P10 and C7-C9 among connected graphs; the
+# rest are disjoint unions of two to four small components with m <= 8.
+_BELOW_M = {
+    **{f"P{n}": path_graph(n) for n in (8, 9, 10)},
+    **{f"C{n}": cycle_graph(n) for n in (7, 8, 9)},
+    "3K3": _disjoint_union(*[complete_graph(3)] * 3),
+    **{
+        "+".join(names): g
+        for r in (2, 3, 4)
+        for names in itertools.combinations_with_replacement(_COMPONENTS, r)
+        for g in [_disjoint_union(*(_COMPONENTS[name] for name in names))]
+        if coalition._degree_bound(g.closed_edge_masks()) < g.m <= 8
+    },
+}
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize(
+        "g, bound",
+        [
+            (path_graph(3), 4),
+            (path_graph(14), 6),
+            (cycle_graph(13), 6),
+            (complete_graph(6), 30),
+            (complete_bipartite(3, 4), 16),
+            (complete_bipartite(3, 5), 20),
+        ],
+        ids=["P3", "P14", "C13", "K6", "K3,4", "K3,5"],
+    )
+    def test_values(self, g, bound):
+        assert coalition._degree_bound(g.closed_edge_masks()) == bound
+
+    def test_unions_listed(self):
+        for name in ("K2+K2+K2", "P3+P3+P3", "C4+K1,3"):
+            assert name in _BELOW_M
+        assert len(_BELOW_M) > 40
+
+    @pytest.mark.parametrize("g", list(_BELOW_M.values()), ids=list(_BELOW_M))
+    def test_matches_oracle_where_it_cuts(self, g):
+        ec = edge_coalition_number(g).ec
+        assert ec == brute_force_ec(g)
+        assert ec <= coalition._degree_bound(g.closed_edge_masks()) < g.m
+
+    def test_search_never_above_bound(self, monkeypatch):
+        orders = []
+        search = coalition._find_partition_of_order
+
+        def recording(g, k, *args, **kwargs):
+            orders.append(k)
+            return search(g, k, *args, **kwargs)
+
+        monkeypatch.setattr(coalition, "_find_partition_of_order", recording)
+        assert edge_coalition_number(path_graph(14)).ec == 6
+        assert orders == [6]
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(6), complete_bipartite(3, 4), complete_bipartite(3, 5)],
+        ids=["K6", "K3,4", "K3,5"],
+    )
+    def test_dense_graphs_start_at_m(self, monkeypatch, g):
+        # The bound is at least m here; only the first order searched is read.
+        class FirstOrder(Exception):
+            pass
+
+        def stop(_, k, *args, **kwargs):
+            raise FirstOrder(k)
+
+        monkeypatch.setattr(coalition, "_find_partition_of_order", stop)
+        with pytest.raises(FirstOrder) as caught:
+            edge_coalition_number(g)
+        assert caught.value.args == (g.m,)
 
 
 @pytest.fixture

@@ -209,6 +209,11 @@ class TestCorpusApi:
             CorpusSpec(14, ("trees",))
         CorpusSpec(13, ("trees",))  # allowed
 
+    def test_repeated_class_rejected(self):
+        # A second export pass over a class would overwrite the first one's files.
+        with pytest.raises(InvalidSpec, match="'trees' is listed more than once"):
+            CorpusSpec(5, ("trees", "unicyclic", "trees"))
+
     def test_below_first_order_is_empty(self):
         assert graphs_of_order("trees", 0) == ()
         assert graphs_of_order("all", 0) == ()
