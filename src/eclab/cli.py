@@ -86,17 +86,6 @@ def _edge_cap(args: argparse.Namespace) -> int:
     return DEFAULT_EXACT_EDGE_CAP
 
 
-def _worker_count(text: str) -> int:
-    """argparse type of ``--jobs``: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
 def _seconds(text: str) -> float:
     """argparse type of ``--time-budget``: a finite number of seconds."""
     try:
@@ -154,9 +143,9 @@ def _cmd_ec(args: argparse.Namespace) -> int:
                 f"graph has m={g.m} edges, above the exact-mode cap {cap}; "
                 "rerun with --lower-bound or raise ECLAB_MAX_EDGES"
             )
-        result = edge_coalition_lower_bound(g, time_budget=args.time_budget, jobs=args.jobs)
+        result = edge_coalition_lower_bound(g, time_budget=args.time_budget)
     else:
-        result = edge_coalition_number(g, max_edges=cap, jobs=args.jobs)
+        result = edge_coalition_number(g, max_edges=cap)
     if args.format == "json":
         print(json.dumps(certificate_json(result)))
     else:
@@ -269,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ec", help="compute the edge coalition number with a certificate")
     _add_input_args(p)
     _add_format_arg(p)
-    p.add_argument(
-        "--jobs", type=_worker_count, default=1,
-        help="worker processes for the search (at most the core count)",
-    )
     p.add_argument("--max-edges", type=int, default=None, help="override the exact-mode cap")
     p.add_argument(
         "--lower-bound",

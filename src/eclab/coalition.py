@@ -21,10 +21,7 @@ least canonical labeling of that order.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
@@ -245,8 +242,7 @@ def coalition_partner_count(g: Graph, blocks: Iterable[Iterable[int]], i: int) -
 
 # --- exact solver -----------------------------------------------------------
 
-# Outcome of an order-k search that ran out of time.  Unlike an ``object()``
-# sentinel, a string still compares equal after a round trip through a worker.
+# Outcome of an order-k search that ran out of time.
 _TIMEOUT = "timeout"
 
 
@@ -254,16 +250,9 @@ class _SearchTimeout(Exception):
     pass
 
 
-def _search_exact_k(
-    closed: Sequence[int],
-    full: int,
-    m: int,
-    k: int,
-    prefix: Sequence[int] = (),
-    deadline: float | None = None,
-):
+def _find_partition_of_order(g: Graph, k: int, deadline: float | None = None):
     """Lexicographically least restricted-growth string of a valid order-k
-    partition extending ``prefix``, or None, or ``_TIMEOUT``.
+    partition, None when the order is refuted, or ``_TIMEOUT``.
 
     Pruning rules, all sound for the strict block conditions:
       * a block that holds two or more edges must stay non-dominating;
@@ -272,10 +261,11 @@ def _search_exact_k(
         deficiency that no remaining edge can cover must already be covered
         by some other existing block that is not itself dominating.
 
-    At depths below ``len(prefix)`` only the prefix label is tried, so a
-    work-split prefix passes the same checks as the serial route.  A block
-    is empty exactly when its cover is 0, because N[e] contains e.
+    A block is empty exactly when its cover is 0, because N[e] contains e.
     """
+    closed = g.closed_edge_masks()
+    full = g.full_edge_mask
+    m = g.m
     rem = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         rem[i] = rem[i + 1] | closed[i]
@@ -309,10 +299,7 @@ def _search_exact_k(
             return used == k  # partners_feasible(m) held before descending here
         if used + (m - i) < k:
             return False
-        tries = range(min(used + 1, k))
-        if i < len(prefix):  # the prefix label alone, and only if it is legal here
-            tries = tries[prefix[i] : prefix[i] + 1]
-        for b in tries:
+        for b in range(min(used + 1, k)):
             old_cover = covers[b]
             new_cover = old_cover | closed[i]
             if old_cover and new_cover == full:
@@ -333,38 +320,6 @@ def _search_exact_k(
     except _SearchTimeout:
         return _TIMEOUT
     return list(labels) if found else None
-
-
-def _find_partition_of_order(
-    g: Graph, k: int, pool: ProcessPoolExecutor | None, deadline: float | None = None
-):
-    """Order-k search: witness labels, None when refuted, or ``_TIMEOUT``.
-
-    With a pool, the tree is split on every restricted-growth prefix with
-    labels below k, at the shallowest depth >= 2 that gives each worker
-    three; :func:`_search_exact_k` drops the illegal ones by the serial
-    route's checks.  Every task carries the deadline.  Outcomes are read in
-    lexicographic prefix order, so the witness is the serial one.
-    """
-    closed = g.closed_edge_masks()
-    full = g.full_edge_mask
-    m = g.m
-    if pool is None:
-        return _search_exact_k(closed, full, m, k, deadline=deadline)
-
-    prefixes: list[tuple[int, ...]] = [()]
-    for depth in range(1, m):
-        prefixes = [p + (b,) for p in prefixes for b in range(min(max(p, default=-1) + 2, k))]
-        if depth >= 2 and len(prefixes) >= 3 * pool._max_workers:
-            break
-    futures = [
-        pool.submit(_search_exact_k, closed, full, m, k, prefix, deadline) for prefix in prefixes
-    ]
-    try:
-        return next((o for o in (f.result() for f in futures) if o is not None), None)
-    finally:
-        for future in futures:
-            future.cancel()
 
 
 def _certified(g: Graph, labels: Sequence[int], k: int) -> EcCertificate:
@@ -423,30 +378,24 @@ def _degree_bound(closed: Sequence[int]) -> int:
     return (max(mask.bit_count() for mask in closed) + 2) ** 2 // 4
 
 
-def _largest_order(g: Graph, jobs: int, deadline: float | None = None):
+def _largest_order(g: Graph, deadline: float | None = None):
     """``(k, certificate)`` for the first order k = top, top-1, ... the
     search fills, or None, where top = min(m, :func:`_degree_bound`), as no
-    larger order can be filled.  One pool of ``min(jobs, cpu count)``
-    workers serves the run, or none (the serial route) when that is 1 or
-    the graph is small.
-    Without a deadline every order runs to the end, so k is the maximum;
-    with one, each order gets ``max(remaining / k, 0.05)`` seconds, capped
-    at the deadline, and an order that times out is skipped downward.
+    larger order can be filled.  Without a deadline every order runs to the
+    end, so k is the maximum; with one, each order gets
+    ``max(remaining / k, 0.05)`` seconds, capped at the deadline, and an
+    order that times out is skipped downward.
     """
-    m = g.m
-    workers = min(jobs, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and m >= 6 else nullcontext()
-    with pool as pool:
-        for k in range(min(m, _degree_bound(g.closed_edge_masks())), 0, -1):
-            order_deadline = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                order_deadline = min(time.monotonic() + max(remaining / k, 0.05), deadline)
-            outcome = _find_partition_of_order(g, k, pool, order_deadline)
-            if isinstance(outcome, list):
-                return k, _certified(g, outcome, k)
+    for k in range(min(g.m, _degree_bound(g.closed_edge_masks())), 0, -1):
+        order_deadline = None
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            order_deadline = min(time.monotonic() + max(remaining / k, 0.05), deadline)
+        outcome = _find_partition_of_order(g, k, order_deadline)
+        if isinstance(outcome, list):
+            return k, _certified(g, outcome, k)
     return None
 
 
@@ -454,7 +403,6 @@ def edge_coalition_number(
     g: Graph,
     *,
     max_edges: int = DEFAULT_EXACT_EDGE_CAP,
-    jobs: int = 1,
 ) -> EcResult:
     """Exact edge coalition number with a verified certificate.
 
@@ -472,7 +420,7 @@ def edge_coalition_number(
             f"graph has m={m} edges, above the exact-mode cap {max_edges}; "
             "raise the cap or use edge_coalition_lower_bound"
         )
-    found = _largest_order(g, jobs)
+    found = _largest_order(g)
     if found is None:
         raise NotAnEcPartition("no ec-partition found; this contradicts the existence guarantee")
     k, cert = found
@@ -489,7 +437,6 @@ def edge_coalition_lower_bound(
     g: Graph,
     *,
     time_budget: float = 30.0,
-    jobs: int = 1,
 ) -> EcResult:
     """Best certified lower bound on EC(g) found within a time budget.
 
@@ -506,7 +453,7 @@ def edge_coalition_lower_bound(
     m = g.m
     if m == 0:
         raise EmptyGraph("EC is undefined for graphs without edges")
-    found = _largest_order(g, jobs, time.monotonic() + time_budget)
+    found = _largest_order(g, time.monotonic() + time_budget)
     if found is None:
         raise BudgetExceeded(f"no ec-partition found within {time_budget:.1f}s for m={m}")
     k, cert = found

@@ -79,32 +79,25 @@ def edge_domination_number(g: Graph) -> DominationResult:
 
 
 def vertex_domination_number(g: Graph) -> int:
-    """Minimum size of a vertex dominating set (increasing-cardinality search)."""
+    """Minimum size of a vertex dominating set (increasing-cardinality search).
+
+    The scan ends by size n at the latest, where every vertex dominates;
+    only a graph without vertices falls through, with 0.
+    """
     n = g.n
-    if n == 0:
-        return 0
     closed = [1 << v for v in range(n)]
     for v in range(n):
         for u in g.neighbors(v):
             closed[v] |= 1 << u
     full = (1 << n) - 1
-
-    # Greedy cover for an upper bound.
-    covered = 0
-    upper = 0
-    while covered != full:
-        best = max(range(n), key=lambda v: (closed[v] | covered).bit_count())
-        covered |= closed[best]
-        upper += 1
-
-    for size in range(1, upper + 1):
+    for size in range(1, n + 1):
         for combo in combinations(range(n), size):
             cover = 0
             for v in combo:
                 cover |= closed[v]
             if cover == full:
                 return size
-    return upper
+    return 0
 
 
 def gamma_prime_via_line_graph(g: Graph) -> int:

@@ -2,8 +2,6 @@
 
 import itertools
 import json
-import pickle
-from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -247,24 +245,6 @@ class TestSolver:
             frozenset({4}),
         )
 
-    def test_parallel_matches_serial(self):
-        serial = edge_coalition_number(path_graph(8))
-        parallel = edge_coalition_number(path_graph(8), jobs=2)
-        assert parallel.ec == serial.ec
-        assert parallel.certificate == serial.certificate
-
-    @pytest.mark.parametrize(
-        "g", [complete_graph(6), complete_bipartite(3, 3)], ids=["K6", "K3,3"]
-    )
-    def test_parallel_matches_serial_when_prefixes_are_illegal(self, g):
-        # Dense graphs: at the top orders most work-split prefixes are illegal
-        # (on K6 at k = 15 only 4 of the 15 depth-4 prefixes can still open k
-        # blocks; on K3,3 the prefix (0, 1, 1, 1) makes block 1 dominating),
-        # and the prefix replay must drop them.
-        serial = edge_coalition_number(g)
-        parallel = edge_coalition_number(g, jobs=2)
-        assert parallel == serial
-
     def test_lower_bound_mode(self):
         result = edge_coalition_lower_bound(P6, time_budget=10.0)
         assert result.mode == "lower_bound"
@@ -380,105 +360,58 @@ class TestDegreeBound:
         assert caught.value.args == (g.m,)
 
 
-@pytest.fixture
-def inline_pools(monkeypatch):
-    """Replace the solver's process pool with one that runs each task inline
-    at submit time, on a host patched to two cores; returns the pools made."""
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self._max_workers = max_workers
-            self.deadlines = []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, closed, full, m, k, prefix, deadline):
-            self.deadlines.append(deadline)
-            future = Future()
-            future.set_result(fn(closed, full, m, k, prefix, deadline))
-            return future
-
-    monkeypatch.setattr(coalition, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(coalition.os, "cpu_count", lambda: 2)
-    return pools
-
-
 class TestSearchRoute:
-    def test_one_pool_per_run(self, inline_pools):
-        result = edge_coalition_number(path_graph(8), jobs=2)
-        assert len(inline_pools) == 1
-        assert len(inline_pools[0].deadlines) > 15  # several orders, one pool
-        assert result == edge_coalition_number(path_graph(8))
-
-    def test_workers_capped_at_core_count(self, inline_pools):
-        edge_coalition_number(path_graph(8), jobs=3)
-        assert [pool._max_workers for pool in inline_pools] == [2]
-
-    @pytest.mark.parametrize("g, jobs", [(path_graph(8), 1), (path_graph(6), 2)])
-    def test_serial_route_opens_no_pool(self, inline_pools, g, jobs):
-        edge_coalition_number(g, jobs=jobs)
-        edge_coalition_lower_bound(g, jobs=jobs)
-        assert inline_pools == []
-
-    def test_lower_bound_sends_deadline_to_every_task(self, inline_pools):
-        result = edge_coalition_lower_bound(path_graph(8), jobs=2)
-        assert result.ec == 5 and result.mode == "lower_bound"
-        assert len(inline_pools) == 1
-        deadlines = inline_pools[0].deadlines
-        assert deadlines and all(d is not None for d in deadlines)
-
-    def test_timeout_outcome_survives_pickling(self):
-        assert pickle.loads(pickle.dumps(coalition._TIMEOUT)) == coalition._TIMEOUT
-
     @pytest.mark.parametrize(
         "solve", [edge_coalition_number, edge_coalition_lower_bound], ids=["exact", "lower"]
     )
     def test_rejected_solver_labeling_raises(self, monkeypatch, solve):
         # The singleton partition of P6 is no ec-partition: edge 2 has no partner.
-        def singletons(closed, full, m, k, prefix=(), deadline=None):
-            return list(range(m))
+        def singletons(g, k, deadline=None):
+            return list(range(g.m))
 
-        monkeypatch.setattr(coalition, "_search_exact_k", singletons)
+        monkeypatch.setattr(coalition, "_find_partition_of_order", singletons)
         with pytest.raises(NotAnEcPartition, match="block 2 has no partner"):
             solve(P6)
 
 
-def _search_with_prefix(g, k, prefix):
-    return coalition._search_exact_k(g.closed_edge_masks(), g.full_edge_mask, g.m, k, prefix)
-
-
 class TestPrefixPrunes:
-    """A work-split prefix passes through the same legality checks as the
-    serial search; each case is refuted by the rule it names."""
+    """Each rule that cuts a labeling prefix in the order-k search, pinned
+    by a direct search whose result the rule decides."""
 
-    def test_label_jump(self):
-        assert _search_with_prefix(P6, 4, (0, 2)) is None
+    def test_label_jump(self, monkeypatch):
+        # Labels grow by at most one, so each partition is searched once and
+        # not once per relabeling.  No result shows that, the node count
+        # does: with a deadline set the search reads the clock once per
+        # 4,096 nodes, and K3,3 at k = 8 is refuted with no read, but with
+        # 867 when a label may jump.
+        reads = []
+        monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
+        assert coalition._find_partition_of_order(complete_bipartite(3, 3), 8, deadline=1e9) is None
+        assert len(reads) <= 8
 
     def test_label_at_or_above_k(self):
-        assert _search_with_prefix(P6, 2, (0, 1, 2)) is None
+        # One block of all of P6 dominates it, so order 1 is refuted.  A
+        # label k would index past the k block covers.
+        assert coalition._find_partition_of_order(P6, 1) is None
 
     def test_dominating_block_with_two_edges(self):
-        # Edges 1, 2, 3 of K3,3 dominate it.  Without this rule the search
-        # returns [0, 1, 1, 1, 0, 2, 3, 4, 5].
-        assert _search_with_prefix(complete_bipartite(3, 3), 6, (0, 1, 1, 1)) is None
+        # The middle edge of P4 dominates it, so no order-2 partition exists.
+        # Without this rule the search returns [0, 1, 0].
+        assert coalition._find_partition_of_order(path_graph(4), 2) is None
 
     def test_reachability(self):
-        # Without the k-block count the search returns [0, 0, 0, 1, 1].  The
-        # early cut on unreachable k only saves work, so no result shows it.
-        assert _search_with_prefix(P6, 5, (0, 0)) is None
+        # Without the k-block count the search returns [0, 0, 1, 1] for
+        # P5 at k = 3, with two blocks.
+        assert coalition._find_partition_of_order(path_graph(5), 3) == [0, 0, 1, 2]
 
     def test_partner_feasibility(self):
-        # Without this rule the search returns [0, 0, 1, 2, 3].
-        assert _search_with_prefix(P6, 4, (0, 0)) is None
+        # Without this rule the search returns [0, 1, 2, 3, 4], the
+        # singleton partition, whose block 2 has no partner.
+        assert coalition._find_partition_of_order(P6, 5) is None
 
-    def test_legal_prefix_gives_pinned_witness(self):
-        assert _search_with_prefix(P6, 4, (0, 1)) == [0, 1, 0, 2, 3]
+    def test_pinned_p6_witness(self):
+        # Without partner feasibility the search returns [0, 0, 1, 2, 3].
+        assert coalition._find_partition_of_order(P6, 4) == [0, 1, 0, 2, 3]
 
     @pytest.mark.parametrize("g, k", [(cycle_graph(11), 7), (path_graph(13), 8)])
     def test_early_reachability_cut_bounds_the_nodes(self, monkeypatch, g, k):
@@ -488,8 +421,7 @@ class TestPrefixPrunes:
         # and 67.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
-        masks = g.closed_edge_masks()
-        assert coalition._search_exact_k(masks, g.full_edge_mask, g.m, k, deadline=1e9) is None
+        assert coalition._find_partition_of_order(g, k, deadline=1e9) is None
         assert len(reads) <= 8
 
 
