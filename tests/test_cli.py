@@ -76,6 +76,14 @@ class TestEc:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        # Values that were invalid while --jobs existed stay usage errors.
+        with pytest.raises(SystemExit) as exc:
+            main(["ec", "--family", "path:3", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
     def test_non_finite_budget_is_usage_error(self, capsys, budget):
         with pytest.raises(SystemExit) as exc:
