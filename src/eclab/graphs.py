@@ -166,8 +166,10 @@ class GraphMetrics:
     """Basic structural facts about one graph.
 
     ``diameter`` is ``None`` for disconnected graphs (undefined, not an
-    error).  ``longest_path_length`` counts edges and is computed by
-    exhaustive DFS, so it is only meant for small graphs (n <= 16).
+    error).  ``longest_path_length`` counts edges.  Its DFS stops at the
+    first path through every vertex of the largest component, and is
+    exhaustive, so exponential in n, on graphs without such a path (see
+    :func:`longest_path_length`).
     """
 
     min_degree: int
@@ -201,21 +203,36 @@ def graph_metrics(g: Graph) -> GraphMetrics:
 
 
 def longest_path_length(g: Graph) -> int:
-    """Maximum edge count over all simple paths (exhaustive DFS; exponential)."""
+    """Maximum edge count over all simple paths (DFS from every vertex).
+
+    No simple path has more edges than its component has vertices minus
+    one, so the search stops as soon as a path reaches that ceiling for the
+    largest component, i.e. at the first Hamiltonian path found there.  On
+    complete and balanced complete bipartite graphs the first DFS branch
+    is one.  A graph without such a path (K5,7, any tree but a path) is
+    searched exhaustively, in time exponential in n.
+    """
+    orders = (sum(d >= 0 for d in _bfs_distances(g, v)) for v in range(g.n))
+    ceiling = max(orders, default=1) - 1
     best = 0
     adj = g._adj
 
-    def dfs(v: int, visited: int, length: int) -> None:
+    def dfs(v: int, visited: int, length: int) -> bool:
+        """Extend the path ending at ``v``; True once ``best`` hits the ceiling."""
         nonlocal best
         if length > best:
             best = length
+            if best == ceiling:
+                return True
         for u in adj[v]:
             bit = 1 << u
-            if not visited & bit:
-                dfs(u, visited | bit, length + 1)
+            if not visited & bit and dfs(u, visited | bit, length + 1):
+                return True
+        return False
 
     for start in range(g.n):
-        dfs(start, 1 << start, 0)
+        if dfs(start, 1 << start, 0):
+            break
     return best
 
 

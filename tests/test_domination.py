@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eclab.cli import main
 from eclab.domination import (
     check_edge_set,
     edge_domination_number,
@@ -25,7 +26,20 @@ from eclab.families import (
 )
 from eclab.graphs import Graph
 
-from test_graphs import small_graphs
+from test_graphs import corpus_graphs, small_graphs
+
+
+def _subset_scan(g: Graph) -> tuple[int, frozenset[int]]:
+    """Least dominating size and lex-least witness, by scanning every subset."""
+    masks, full = g.closed_edge_masks(), g.full_edge_mask
+    for size in range(1, g.m + 1):
+        for combo in combinations(range(g.m), size):
+            cover = 0
+            for e in combo:
+                cover |= masks[e]
+            if cover == full:
+                return size, frozenset(combo)
+    return 0, frozenset()
 
 
 class TestIsEdgeDominatingSet:
@@ -131,6 +145,30 @@ class TestEdgeDominationNumber:
     def test_complete_bipartite_balanced(self):
         for r in (2, 3):
             assert edge_domination_number(complete_bipartite(r, r)).gamma_prime == r
+
+    def test_corpus_matches_subset_scan(self):
+        graphs = corpus_graphs()
+        assert len(graphs) == 1580
+        for g in graphs:
+            result = edge_domination_number(g)
+            assert (result.gamma_prime, result.witness) == _subset_scan(g)
+
+    @pytest.mark.parametrize(
+        "graph,witness",
+        [
+            # Lex-least minimum sets; neither is the first dominating matching.
+            (complete_graph(12), (0, 1, 30, 45, 56, 63)),
+            (complete_bipartite(6, 6), (0, 1, 2, 3, 4, 5)),
+        ],
+    )
+    def test_pinned_dense_witnesses(self, graph, witness):
+        result = edge_domination_number(graph)
+        assert (result.gamma_prime, result.witness) == (6, frozenset(witness))
+
+    def test_cli_json_on_k12(self, capsys):
+        assert main(["gamma", "--family", "complete:12", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == '{"gamma_prime": 6, "witness": [0, 1, 30, 45, 56, 63]}\n'
 
     @settings(max_examples=40)
     @given(small_graphs(min_m=1))

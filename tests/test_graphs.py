@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,10 @@ from eclab.graphs import (
     graph_metrics,
     is_full_edge,
     line_graph,
+    longest_path_length,
     parse_edge_list,
 )
+from eclab.oracle import graphs_of_order
 
 
 @st.composite
@@ -49,6 +53,17 @@ def small_graphs(draw, max_n=6, min_m=0, max_m=None):
         st.lists(st.sampled_from(all_pairs), unique=True, min_size=min_m, max_size=cap)
     )
     return Graph(n, picked)
+
+
+def corpus_graphs() -> list[Graph]:
+    """1,580 graphs: connected n <= 7, trees n <= 10, unicyclic n <= 9."""
+    caps = {"connected": 7, "trees": 10, "unicyclic": 9}
+    return [
+        g
+        for cls, top in caps.items()
+        for n in range(top + 1)
+        for g in graphs_of_order(cls, n)
+    ]
 
 
 def _disjoint_cycles(*lengths: int) -> Graph:
@@ -209,6 +224,57 @@ class TestMetrics:
         for g in (path_graph(5), star_graph(4)):
             met = graph_metrics(g)
             assert met.tree and g.m == g.n - 1 and met.connected
+
+
+def _plain_longest_path(g: Graph) -> int:
+    """Exhaustive DFS over every simple path, with no early exit."""
+    best = 0
+
+    def dfs(v: int, visited: int, length: int) -> None:
+        nonlocal best
+        best = max(best, length)
+        for u in g.neighbors(v):
+            if not visited >> u & 1:
+                dfs(u, visited | 1 << u, length + 1)
+
+    for v in range(g.n):
+        dfs(v, 1 << v, 0)
+    return best
+
+
+class TestLongestPath:
+    def test_corpus_matches_plain_dfs(self):
+        graphs = corpus_graphs()
+        assert len(graphs) == 1580
+        for g in graphs:
+            assert longest_path_length(g) == _plain_longest_path(g), format_edge_list(g)
+
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            # K1,3 + P3: the ceiling 3 of the 4-vertex star is never reached.
+            (Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]), 2),
+            # P2 + K4: K4 reaches its ceiling 3 after P2 gave 1.
+            (Graph(6, [(0, 1), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]), 3),
+            (Graph(0), 0),
+            (Graph(3), 0),
+        ],
+    )
+    def test_values(self, g, expected):
+        assert longest_path_length(g) == expected == _plain_longest_path(g)
+
+    def test_hamiltonian_graph_stops_at_the_ceiling(self):
+        # An exhaustive DFS of K8,8 would not finish; the timeout turns a
+        # lost ceiling exit into a failure instead of a hang.
+        code = (
+            "from eclab.families import complete_bipartite\n"
+            "from eclab.graphs import longest_path_length\n"
+            "assert longest_path_length(complete_bipartite(8, 8)) == 15\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIsomorphism:
