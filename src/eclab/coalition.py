@@ -256,10 +256,21 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float | None = None):
 
     Pruning rules, all sound for the strict block conditions:
       * a block that holds two or more edges must stay non-dominating;
-      * exactly k labels must remain reachable;
+      * exactly k labels must remain reachable; with no slack left, the edge
+        opens a new block;
       * every block must keep a *potential* partner: the part of its
         deficiency that no remaining edge can cover must already be covered
         by some other existing block that is not itself dominating.
+
+    The slack at edge i is used + (m - i) - k.  Below 0 the k labels are out
+    of reach.  At 0, edge i going into an existing block leaves a child with
+    used + (m - i - 1) = k - 1 < k, which the count refutes on entry, so only
+    the new block ``used`` is tried.  The skipped branches hold no solution
+    and the remaining ones keep their order, so the lex-least witness is
+    unchanged; what is saved is the partner check each skipped child would
+    pay before it is refuted.  An existing block lowers the slack by one and
+    a new block keeps it, so past the root the slack never drops below 0 and
+    the ``slack < 0`` test only rejects k > m.
 
     A block is empty exactly when its cover is 0, because N[e] contains e.
     """
@@ -297,9 +308,10 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float | None = None):
                 raise _SearchTimeout
         if i == m:
             return used == k  # partners_feasible(m) held before descending here
-        if used + (m - i) < k:
+        slack = used + (m - i) - k
+        if slack < 0:
             return False
-        for b in range(min(used + 1, k)):
+        for b in range(used if slack == 0 else 0, min(used + 1, k)):
             old_cover = covers[b]
             new_cover = old_cover | closed[i]
             if old_cover and new_cover == full:

@@ -261,6 +261,29 @@ class TestSolver:
         with pytest.raises(EclabError, match="time_budget"):
             edge_coalition_lower_bound(P6, time_budget=budget)
 
+    @pytest.mark.parametrize(
+        "g, ec",
+        [(complete_graph(6), 13), (complete_bipartite(3, 4), 9), (complete_bipartite(3, 5), 12)],
+        ids=["K6", "K3,4", "K3,5"],
+    )
+    def test_dense_values(self, g, ec):
+        # Every order from m down to ec + 1 is refuted, so these pin the
+        # refutations as well as the witness search.
+        result = edge_coalition_number(g)
+        assert (result.ec, result.proof) == (ec, "exhausted-search")
+
+    @pytest.mark.parametrize(
+        "g, k, labels",
+        [
+            (complete_graph(6), 13, [0, 1, 2, 3, 4, 2, 5, 6, 7, 8, 7, 9, 10, 11, 12]),
+            (complete_bipartite(3, 4), 9, [0, 0, 1, 2, 1, 3, 4, 5, 6, 7, 0, 8]),
+            (complete_bipartite(3, 5), 12, [0, 1, 2, 3, 4, 0, 5, 6, 7, 8, 1, 5, 9, 10, 11]),
+        ],
+        ids=["K6", "K3,4", "K3,5"],
+    )
+    def test_dense_lex_least_witness(self, g, k, labels):
+        assert coalition._find_partition_of_order(g, k) == labels
+
     @settings(max_examples=25, deadline=None)
     @given(small_graphs(min_m=1))
     def test_value_within_trivial_range(self, g):
@@ -417,12 +440,23 @@ class TestPrefixPrunes:
     def test_early_reachability_cut_bounds_the_nodes(self, monkeypatch, g, k):
         # With a deadline set, the search reads the clock once per 4,096
         # nodes, so the number of reads bounds the nodes.  These refutations
-        # take 3 or 4 reads; without the cut on unreachable k they take 28
-        # and 67.
+        # take 1 read each; without the cut on unreachable k, that is without
+        # the block count and the no-slack rule, they take 28 and 67.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
         assert coalition._find_partition_of_order(g, k, deadline=1e9) is None
         assert len(reads) <= 8
+
+    def test_no_slack_opens_a_new_block(self, monkeypatch):
+        # When exactly k - used edges remain, each must open a new block;
+        # a child that joins an existing block is refuted by the count, but
+        # only after its partner check.  Clock reads bound the nodes as
+        # above: K3,5 at k = 13 is refuted with 1 read, and with 13 when
+        # such children are still tried.
+        reads = []
+        monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
+        assert coalition._find_partition_of_order(complete_bipartite(3, 5), 13, deadline=1e9) is None
+        assert len(reads) <= 3
 
 
 class TestCoalitionGraph:
