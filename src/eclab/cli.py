@@ -136,13 +136,8 @@ def _graph_as_dot(g: Graph, labels: list[str] | None = None) -> str:
 
 def _cmd_ec(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cap = _edge_cap(args)
-    if args.lower_bound or g.m > cap:
-        if not args.lower_bound:
-            raise BudgetExceeded(
-                f"graph has m={g.m} edges, above the exact-mode cap {cap}; "
-                "rerun with --lower-bound or raise ECLAB_MAX_EDGES"
-            )
+    cap = _edge_cap(args)  # read in both modes: a malformed ECLAB_MAX_EDGES is a usage error
+    if args.lower_bound:
         result = edge_coalition_lower_bound(g, time_budget=args.time_budget)
     else:
         result = edge_coalition_number(g, max_edges=cap)

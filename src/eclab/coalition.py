@@ -391,14 +391,15 @@ def _degree_bound(closed: Sequence[int]) -> int:
 
 
 def _largest_order(g: Graph, deadline: float | None = None):
-    """``(k, certificate)`` for the first order k = top, top-1, ... the
+    """``(k, certificate, top)`` for the first order k = top, top-1, ... the
     search fills, or None, where top = min(m, :func:`_degree_bound`), as no
     larger order can be filled.  Without a deadline every order runs to the
     end, so k is the maximum; with one, each order gets
     ``max(remaining / k, 0.05)`` seconds, capped at the deadline, and an
     order that times out is skipped downward.
     """
-    for k in range(min(g.m, _degree_bound(g.closed_edge_masks())), 0, -1):
+    top = min(g.m, _degree_bound(g.closed_edge_masks()))
+    for k in range(top, 0, -1):
         order_deadline = None
         if deadline is not None:
             remaining = deadline - time.monotonic()
@@ -407,7 +408,7 @@ def _largest_order(g: Graph, deadline: float | None = None):
             order_deadline = min(time.monotonic() + max(remaining / k, 0.05), deadline)
         outcome = _find_partition_of_order(g, k, order_deadline)
         if isinstance(outcome, list):
-            return k, _certified(g, outcome, k)
+            return k, _certified(g, outcome, k), top
     return None
 
 
@@ -422,7 +423,8 @@ def edge_coalition_number(
     min(m, ⌊(Δ(L)+3)²/4⌋), above which no order is feasible, and returns
     at the first feasible order, so the result is the maximum.  Raises
     :class:`EmptyGraph` when m = 0 and :class:`BudgetExceeded` when m
-    exceeds ``max_edges`` (enumeration grows like the Bell numbers).
+    exceeds ``max_edges`` (enumeration grows like the Bell numbers); this
+    is the one place that refuses an exact solve, the CLI included.
     """
     m = g.m
     if m == 0:
@@ -430,15 +432,16 @@ def edge_coalition_number(
     if m > max_edges:
         raise BudgetExceeded(
             f"graph has m={m} edges, above the exact-mode cap {max_edges}; "
-            "raise the cap or use edge_coalition_lower_bound"
+            "raise the cap (--max-edges or ECLAB_MAX_EDGES) "
+            "or use lower-bound mode (--lower-bound)"
         )
     found = _largest_order(g)
     if found is None:
         raise NotAnEcPartition("no ec-partition found; this contradicts the existence guarantee")
-    k, cert = found
+    k, cert, top = found
     if k == m:
         proof = "upper-bound-met"
-    elif k == _degree_bound(g.closed_edge_masks()):
+    elif k == top:
         proof = "degree-bound-met"
     else:
         proof = "exhausted-search"
@@ -468,7 +471,7 @@ def edge_coalition_lower_bound(
     found = _largest_order(g, time.monotonic() + time_budget)
     if found is None:
         raise BudgetExceeded(f"no ec-partition found within {time_budget:.1f}s for m={m}")
-    k, cert = found
+    k, cert, _ = found
     return EcResult(ec=k, certificate=cert, mode="lower_bound", proof=None)
 
 
@@ -512,14 +515,6 @@ class BoundEntry:
 @dataclass(frozen=True)
 class BoundReport:
     entries: tuple[BoundEntry, ...]
-
-    def applicable_lower(self) -> int:
-        values = [e.value for e in self.entries if e.applicable and e.kind == "lower"]
-        return max(values) if values else 1
-
-    def applicable_upper(self) -> int:
-        values = [e.value for e in self.entries if e.applicable and e.kind == "upper"]
-        return min(values)
 
 
 def ec_bounds(g: Graph) -> BoundReport:

@@ -2,9 +2,11 @@
 
 Edges are stored in insertion order and addressed everywhere in the
 library by their 0-based index; sets of edges are plain ``frozenset``
-objects of indices.  A :class:`Graph` is immutable after construction
-(including its cached incidence bitmasks), so instances can be shared
-freely between threads and reused as dictionary keys.
+objects of indices.  A :class:`Graph` stores one bitmask per edge, its
+closed edge neighbourhood N[e], built once at construction; every other
+edge relation (open neighbourhoods, the line graph) is read from those
+bits.  A :class:`Graph` is immutable after construction, so instances can
+be shared freely between threads and reused as dictionary keys.
 
 The module also provides the edge-list text format used by the CLI:
 a header line ``"n m"`` followed by ``m`` lines ``"u v"``; blank lines
@@ -35,46 +37,35 @@ class Graph:
     ``(min, max)`` and kept in insertion order; ``m`` is the edge count.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_incident", "_nbr_masks", "_edge_pairs")
+    __slots__ = ("n", "edges", "_adj", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise OutOfRangeVertex(f"vertex count must be nonnegative, got {n}")
         normalized: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
+        # incident[v] has bit e set iff edge e ends at v.
+        incident = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise OutOfRangeVertex(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             pair = (u, v) if u < v else (v, u)
-            if pair in seen:
+            if incident[u] & incident[v]:  # only the edge uv can end at both
                 raise DuplicateEdge(f"duplicate edge {pair}")
-            seen.add(pair)
+            bit = 1 << len(normalized)
+            incident[u] |= bit
+            incident[v] |= bit
+            adj[u].append(v)
+            adj[v].append(u)
             normalized.append(pair)
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
-        self._edge_pairs = seen
-
-        adj: list[list[int]] = [[] for _ in range(n)]
-        incident: list[list[int]] = [[] for _ in range(n)]
-        for idx, (u, v) in enumerate(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-            incident[u].append(idx)
-            incident[v].append(idx)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._incident = tuple(tuple(a) for a in incident)
-
-        # Open edge-neighborhood bitmasks: bit f set in mask e iff edges
-        # e and f are distinct and share an endpoint.
-        masks = [0] * self.m
-        for inc in self._incident:
-            for i in inc:
-                for j in inc:
-                    if i != j:
-                        masks[i] |= 1 << j
-        self._nbr_masks = tuple(masks)
+        # Closed edge neighbourhoods N[e]: bit f set iff f == e or f shares
+        # an endpoint with e.
+        self._closed = tuple(incident[u] | incident[v] for u, v in normalized)
 
     @property
     def m(self) -> int:
@@ -91,21 +82,17 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        """Indices of the edges incident to vertex ``v``."""
-        return self._incident[v]
-
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_pairs
+        return 0 <= u < self.n and v in self._adj[u]
 
     def edge_neighbor_mask(self, e: int) -> int:
         """Open neighborhood of edge ``e`` as a bitmask (``e`` excluded)."""
         self._check_edge(e)
-        return self._nbr_masks[e]
+        return self._closed[e] ^ 1 << e
 
     def closed_edge_masks(self) -> tuple[int, ...]:
         """Closed neighborhood masks ``N[e] = N(e) | {e}`` for all edges."""
-        return tuple(mask | (1 << e) for e, mask in enumerate(self._nbr_masks))
+        return self._closed
 
     def _check_edge(self, e: int) -> None:
         if not 0 <= e < self.m:
@@ -142,7 +129,7 @@ class EdgeNeighborhood:
 def edge_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
     """Neighborhood of edge ``e`` in ``g``."""
     mask = g.edge_neighbor_mask(e)
-    return EdgeNeighborhood(e, frozenset(_mask_to_indices(mask)))
+    return EdgeNeighborhood(e, frozenset(f for f in range(g.m) if mask >> f & 1))
 
 
 def is_full_edge(g: Graph, e: int) -> bool:
@@ -152,12 +139,8 @@ def is_full_edge(g: Graph, e: int) -> bool:
 
 def line_graph(g: Graph) -> Graph:
     """Line graph: one vertex per edge of ``g``, adjacent iff the edges share an endpoint."""
-    edges = [
-        (i, j)
-        for i in range(g.m)
-        for j in _mask_to_indices(g.edge_neighbor_mask(i))
-        if i < j
-    ]
+    closed = g.closed_edge_masks()
+    edges = [(i, j) for i in range(g.m) for j in range(i + 1, g.m) if closed[i] >> j & 1]
     return Graph(g.m, edges)
 
 
@@ -257,17 +240,6 @@ def _bfs_distances(g: Graph, start: int) -> list[int]:
 def _eccentricities(g: Graph) -> list[int]:
     """Greatest BFS distance from each vertex (``g`` must be connected)."""
     return [max(_bfs_distances(g, v)) for v in range(g.n)]
-
-
-def _mask_to_indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 # --- isomorphism ---------------------------------------------------------

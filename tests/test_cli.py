@@ -50,12 +50,13 @@ class TestEc:
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "ec", "--family", "path:6", "--max-edges", "3")
         assert code == 3
-        assert "cap" in err
+        assert "exact-mode cap 3" in err and "--lower-bound" in err
 
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ECLAB_MAX_EDGES", "3")
-        code, _, _ = run_cli(capsys, "ec", "--family", "path:6")
+        code, _, err = run_cli(capsys, "ec", "--family", "path:6")
         assert code == 3
+        assert "exact-mode cap 3" in err and "--lower-bound" in err
         monkeypatch.setenv("ECLAB_MAX_EDGES", "8")
         code, out, _ = run_cli(capsys, "ec", "--family", "path:6", "--format", "json")
         assert code == 0 and json.loads(out)["ec"] == 4

@@ -117,6 +117,8 @@ class TestConstruction:
     def test_duplicate_edge_rejected_unordered(self):
         with pytest.raises(DuplicateEdge):
             graph_from_edge_list(2, [(0, 1), (1, 0)])
+        with pytest.raises(DuplicateEdge):
+            graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (2, 1)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
@@ -151,6 +153,25 @@ class TestEdgeNeighborhood:
     def test_index_out_of_range(self):
         with pytest.raises(EdgeIndexOutOfRange):
             edge_neighborhood(path_graph(3), 2)
+
+    @settings(max_examples=60)
+    @given(small_graphs())
+    def test_stored_masks_match_the_edge_pairs(self, g):
+        closed = g.closed_edge_masks()
+        assert len(closed) == g.m
+        for e, (a, b) in enumerate(g.edges):
+            expected = sum(
+                1 << f for f, pair in enumerate(g.edges) if f == e or {a, b} & set(pair)
+            )
+            assert closed[e] == expected
+            assert g.edge_neighbor_mask(e) == expected & ~(1 << e)
+
+    def test_has_edge_checks_the_vertex_range(self):
+        g = Graph(3, [(1, 2)])
+        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        # _adj[-1] would be vertex 2's row, which holds 1.
+        for u, v in [(0, 1), (-1, 1), (3, 1), (1, 3)]:
+            assert not g.has_edge(u, v)
 
     @settings(max_examples=60)
     @given(small_graphs())
