@@ -3,8 +3,10 @@
 The brute-force coalition number below deliberately shares no code with
 the optimized solver or the domination module: adjacency is rebuilt from
 the raw vertex pairs, domination is a direct scan of the definition, and
-every set partition is enumerated without pruning.  A bug in the fast
-path therefore cannot hide behind a shared helper.
+set partitions are tried order by order from m down, so every partition
+with more blocks than the answer is checked against the definition and
+nothing is pruned by graph structure.  A bug in the fast path therefore
+cannot hide behind a shared helper.
 """
 
 from __future__ import annotations
@@ -87,42 +89,52 @@ def accepts_partition(g: Graph, blocks) -> bool:
 
 def brute_force_ec(g: Graph) -> int:
     """Maximum order over all set partitions of E that satisfy the block
-    conditions, checked straight from the definitions."""
+    conditions, checked straight from the definitions.
+
+    Orders are tried from m down and the first one with a satisfying
+    partition is returned, so that order is the maximum.  Every partition
+    with more blocks than the answer is checked; none is skipped by graph
+    structure.
+    """
     m = g.m
     if not 1 <= m <= ORACLE_EDGE_CAP:
         raise TooManyEdges(f"oracle accepts 1 <= m <= {ORACLE_EDGE_CAP}, got m={m}")
     dominating = _make_dominating_check(g)
 
-    best = 0
-    for labels in _restricted_growth_strings(m):
-        k = max(labels) + 1
-        if k <= best:
-            continue
-        blocks: list[set[int]] = [set() for _ in range(k)]
-        for e, b in enumerate(labels):
-            blocks[b].add(e)
-        if _blocks_satisfy_definition([frozenset(b) for b in blocks], dominating):
-            best = k
-    return best
+    for k in range(m, 0, -1):
+        for blocks in _set_partitions(m, k):
+            if _blocks_satisfy_definition([frozenset(b) for b in blocks], dominating):
+                return k
+    return 0
 
 
-def _restricted_growth_strings(m: int) -> Iterator[list[int]]:
-    """All set partitions of range(m) as canonical labelings, in lex order.
+def _set_partitions(m: int, k: int) -> Iterator[list[list[int]]]:
+    """Each partition of range(m) into exactly k blocks, once, for
+    1 <= k <= m (S(m, k) of them; Knuth, TAOCP 4A, 7.2.1.5).
 
+    Edges are placed in increasing order and blocks are kept in order of
+    their least edge.  Edge e joins an open block only while the edges
+    after it can still open the missing blocks, and opens a new block only
+    while fewer than k are open, so every leaf has exactly k blocks.
     Yields the internal buffer; consume each value before advancing.
     """
-    labels = [0] * m
+    blocks: list[list[int]] = []
 
-    def rec(i: int, peak: int) -> Iterator[list[int]]:
-        if i == m:
-            yield labels
+    def rec(e: int) -> Iterator[list[list[int]]]:
+        if e == m:
+            yield blocks
             return
-        for b in range(peak + 1):
-            labels[i] = b
-            yield from rec(i + 1, max(peak, b + 1))
+        if len(blocks) + (m - e) > k:
+            for block in blocks:
+                block.append(e)
+                yield from rec(e + 1)
+                block.pop()
+        if len(blocks) < k:
+            blocks.append([e])
+            yield from rec(e + 1)
+            blocks.pop()
 
-    if m:
-        yield from rec(0, 0)
+    yield from rec(0)
 
 
 # --- corpus enumeration ------------------------------------------------------

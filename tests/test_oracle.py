@@ -7,7 +7,9 @@ from Prüfer sequences.  Only after those agree are the larger counts
 frozen.
 """
 
+import ast
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,10 @@ from eclab.coalition import edge_coalition_number, is_ec_partition, validate_par
 from eclab.errors import BudgetExceeded, InvalidSpec, TooManyEdges
 from eclab.families import cycle_graph, diamond_graph, path_graph, star_graph
 from eclab.graphs import Graph, are_isomorphic
+import eclab.oracle
 from eclab.oracle import (
     CorpusSpec,
+    _set_partitions,
     accepts_partition,
     brute_force_ec,
     enumerate_corpus,
@@ -103,6 +107,14 @@ class TestBruteForce:
     def test_known_values(self, graph, expected):
         assert brute_force_ec(graph) == expected
 
+    @pytest.mark.parametrize(
+        "graph,expected",
+        [(path_graph(11), 6), (cycle_graph(10), 6), (star_graph(10), 10)],
+    )
+    def test_values_at_the_edge_cap(self, graph, expected):
+        assert graph.m == 10
+        assert brute_force_ec(graph) == expected
+
     def test_edge_cap(self):
         with pytest.raises(TooManyEdges):
             brute_force_ec(star_graph(11))
@@ -125,6 +137,49 @@ class TestBruteForce:
             groups.setdefault(b, set()).add(e)
         blocks = validate_partition(g, tuple(groups.values()))
         assert accepts_partition(g, blocks) == bool(is_ec_partition(g, blocks))
+
+
+def _stirling2(m: int, k: int) -> int:
+    """S(m, k) by the recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1)."""
+    if m == k:
+        return 1
+    if k == 0:
+        return 0
+    return k * _stirling2(m - 1, k) + _stirling2(m - 1, k - 1)
+
+
+class TestSetPartitions:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_each_k_block_partition_once(self, m):
+        for k in range(1, m + 1):
+            seen = set()
+            count = 0
+            for blocks in _set_partitions(m, k):
+                count += 1
+                assert len(blocks) == k and all(blocks)
+                assert sorted(e for b in blocks for e in b) == list(range(m))
+                seen.add(frozenset(frozenset(b) for b in blocks))
+            assert count == len(seen) == _stirling2(m, k), (m, k)
+
+
+class TestIndependence:
+    def test_oracle_imports_nothing_from_the_solver(self):
+        # The oracle is ground truth only while it shares no code with the
+        # solver: no import of eclab.coalition or eclab.domination, direct
+        # or relative.
+        tree = ast.parse(Path(eclab.oracle.__file__).read_text())
+        forbidden = {"coalition", "domination"}
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported.append(module)
+                imported += [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+        assert imported, "no imports parsed"
+        for name in imported:
+            assert not forbidden & set(name.split(".")), name
 
 
 class TestCorpusCounts:
