@@ -44,10 +44,6 @@ EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "family", None):
         return generate(FamilySpec.parse(args.family))
@@ -55,9 +51,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     try:
         return parse_edge_list(path.read_text())
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise EclabError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise _UsageError(f"cannot parse {path}: {exc}") from exc
+        raise EclabError(f"cannot parse {path}: {exc}") from exc
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -82,7 +78,7 @@ def _edge_cap(args: argparse.Namespace) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise _UsageError(f"ECLAB_MAX_EDGES must be an integer, got {env!r}") from exc
+            raise EclabError(f"ECLAB_MAX_EDGES must be an integer, got {env!r}") from exc
     return DEFAULT_EXACT_EDGE_CAP
 
 
@@ -101,22 +97,22 @@ def _parse_partition_arg(args: argparse.Namespace, g: Graph) -> tuple[frozenset[
     if getattr(args, "partition_id", None):
         preset = K24_PARTITION_PRESETS.get(args.partition_id)
         if preset is None:
-            raise _UsageError(
+            raise EclabError(
                 f"unknown partition id {args.partition_id!r}; "
                 f"known: {', '.join(sorted(K24_PARTITION_PRESETS))}"
             )
         if (g.n, g.m) != (6, 8):
-            raise _UsageError("--partition-id presets apply to the graph kbip:2,4 only")
+            raise EclabError("--partition-id presets apply to the graph kbip:2,4 only")
         return preset
     raw = getattr(args, "partition", None)
     if raw is None:
-        raise _UsageError("a partition is required (--partition or --partition-id)")
+        raise EclabError("a partition is required (--partition or --partition-id)")
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"--partition is not valid JSON: {exc}") from exc
+        raise EclabError(f"--partition is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
-        raise _UsageError("--partition must be a JSON array of arrays of edge indices")
+        raise EclabError("--partition must be a JSON array of arrays of edge indices")
     return validate_partition(g, data)
 
 
@@ -236,7 +232,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
         known = {tag for tag, _ in theorems.CHECKS}
         unknown = [t for t in tags if t not in known]
         if unknown:
-            raise _UsageError(f"unknown check tags: {', '.join(unknown)}")
+            raise EclabError(f"unknown check tags: {', '.join(unknown)}")
     results = theorems.run_all(tags)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
@@ -323,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotAnEcPartition as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (_UsageError, EclabError) as exc:
+    except EclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

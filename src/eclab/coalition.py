@@ -242,17 +242,14 @@ def coalition_partner_count(g: Graph, blocks: Iterable[Iterable[int]], i: int) -
 
 # --- exact solver -----------------------------------------------------------
 
-# Outcome of an order-k search that ran out of time.
-_TIMEOUT = "timeout"
-
-
 class _SearchTimeout(Exception):
-    pass
+    """An order-k search passed its deadline before it found or refuted."""
 
 
-def _find_partition_of_order(g: Graph, k: int, deadline: float | None = None):
+def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> list[int] | None:
     """Lexicographically least restricted-growth string of a valid order-k
-    partition, None when the order is refuted, or ``_TIMEOUT``.
+    partition, or None when the order is refuted.  Past ``deadline``, read
+    once per 4,096 nodes, it raises :class:`_SearchTimeout` instead.
 
     Pruning rules, all sound for the strict block conditions:
       * a block that holds two or more edges must stay non-dominating;
@@ -260,23 +257,26 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float | None = None):
         opens a new block;
       * every block must keep a *potential* partner: the part of its
         deficiency that no remaining edge can cover must already be covered
-        by some other existing block that is not itself dominating.
+        by some other existing block that is not itself dominating (that
+        part lies outside the block's own cover, so it is never its own).
 
-    The slack at edge i is used + (m - i) - k.  Below 0 the k labels are out
-    of reach.  At 0, edge i going into an existing block leaves a child with
-    used + (m - i - 1) = k - 1 < k, which the count refutes on entry, so only
-    the new block ``used`` is tried.  The skipped branches hold no solution
-    and the remaining ones keep their order, so the lex-least witness is
-    unchanged; what is saved is the partner check each skipped child would
-    pay before it is refuted.  An existing block lowers the slack by one and
-    a new block keeps it, so past the root the slack never drops below 0 and
-    the ``slack < 0`` test only rejects k > m.
+    The slack at edge i is used + (m - i) - k.  At 0, edge i going into an
+    existing block leaves a child with used + (m - i - 1) = k - 1 < k, which
+    the count refutes on entry, so only the new block ``used`` is tried.  The
+    skipped branches hold no solution and the remaining ones keep their
+    order, so the lex-least witness is unchanged; what is saved is the
+    partner check each skipped child would pay before it is refuted.  An
+    existing block lowers the slack by one and a new block keeps it, so once
+    k <= m makes it at least 0 at the root it never drops below 0; k > m is
+    refuted on entry.
 
     A block is empty exactly when its cover is 0, because N[e] contains e.
     """
+    m = g.m
+    if k > m:
+        return None
     closed = g.closed_edge_masks()
     full = g.full_edge_mask
-    m = g.m
     rem = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         rem[i] = rem[i + 1] | closed[i]
@@ -292,7 +292,7 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float | None = None):
             if not need:
                 continue
             for c in range(used):
-                if c != b and covers[c] != full and not need & ~covers[c]:
+                if covers[c] != full and not need & ~covers[c]:
                     break
             else:
                 return False
@@ -302,15 +302,12 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float | None = None):
 
     def rec(i: int) -> bool:
         nonlocal counter, used
-        if deadline is not None:
-            counter += 1
-            if counter & 0xFFF == 0 and time.monotonic() > deadline:
-                raise _SearchTimeout
+        counter += 1
+        if counter & 0xFFF == 0 and time.monotonic() > deadline:
+            raise _SearchTimeout
         if i == m:
             return used == k  # partners_feasible(m) held before descending here
         slack = used + (m - i) - k
-        if slack < 0:
-            return False
         for b in range(used if slack == 0 else 0, min(used + 1, k)):
             old_cover = covers[b]
             new_cover = old_cover | closed[i]
@@ -327,11 +324,7 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float | None = None):
                 used -= 1
         return False
 
-    try:
-        found = rec(0)
-    except _SearchTimeout:
-        return _TIMEOUT
-    return list(labels) if found else None
+    return list(labels) if rec(0) else None
 
 
 def _certified(g: Graph, labels: Sequence[int], k: int) -> EcCertificate:
@@ -390,25 +383,27 @@ def _degree_bound(closed: Sequence[int]) -> int:
     return (max(mask.bit_count() for mask in closed) + 2) ** 2 // 4
 
 
-def _largest_order(g: Graph, deadline: float | None = None):
+def _largest_order(g: Graph, deadline: float = math.inf):
     """``(k, certificate, top)`` for the first order k = top, top-1, ... the
     search fills, or None, where top = min(m, :func:`_degree_bound`), as no
-    larger order can be filled.  Without a deadline every order runs to the
-    end, so k is the maximum; with one, each order gets
-    ``max(remaining / k, 0.05)`` seconds, capped at the deadline, and an
-    order that times out is skipped downward.
+    larger order can be filled.  Each order gets ``max(remaining / k, 0.05)``
+    seconds, capped at the deadline; one that times out is skipped downward,
+    and none starts past the deadline.  The default deadline is infinite, so
+    every order runs to the end and k is the maximum.
     """
     top = min(g.m, _degree_bound(g.closed_edge_masks()))
     for k in range(top, 0, -1):
-        order_deadline = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            order_deadline = min(time.monotonic() + max(remaining / k, 0.05), deadline)
-        outcome = _find_partition_of_order(g, k, order_deadline)
-        if isinstance(outcome, list):
-            return k, _certified(g, outcome, k), top
+        now = time.monotonic()
+        if now >= deadline:
+            break
+        try:
+            labels = _find_partition_of_order(
+                g, k, min(now + max((deadline - now) / k, 0.05), deadline)
+            )
+        except _SearchTimeout:
+            continue
+        if labels is not None:
+            return k, _certified(g, labels, k), top
     return None
 
 
@@ -455,13 +450,15 @@ def edge_coalition_lower_bound(
 ) -> EcResult:
     """Best certified lower bound on EC(g) found within a time budget.
 
-    Runs the same descending-order search, from the same degree bound, but
-    gives each order a slice of the budget; orders that neither succeed nor
+    Runs the order loop of the exact solver, from the same degree bound,
+    with a finite deadline in place of the infinite one: each order gets a
+    slice of what is left of the budget, and orders that neither succeed nor
     get refuted in time are skipped downward.  The first order that yields
     a partition gives a certificate; the value is exact only if no higher
     order was skipped, and the result is always labeled "lower_bound".  A
     non-finite budget would never time out, so it raises
-    :class:`EclabError`.
+    :class:`EclabError`; :class:`BudgetExceeded` means no order was filled
+    in time.
     """
     if not math.isfinite(time_budget):
         raise EclabError(f"time_budget must be a finite number of seconds, got {time_budget!r}")
@@ -470,7 +467,7 @@ def edge_coalition_lower_bound(
         raise EmptyGraph("EC is undefined for graphs without edges")
     found = _largest_order(g, time.monotonic() + time_budget)
     if found is None:
-        raise BudgetExceeded(f"no ec-partition found within {time_budget:.1f}s for m={m}")
+        raise BudgetExceeded(f"no ec-partition found within {time_budget:g}s for m={m}")
     k, cert, _ = found
     return EcResult(ec=k, certificate=cert, mode="lower_bound", proof=None)
 

@@ -279,13 +279,11 @@ def theta_recognizer(g: Graph) -> bool:
     inner = [v for v in outside if g.degree(v) > 1]
     if len(inner) != 1 or len(attach_points) != 1:
         return False
-    w = inner[0]
+    # With w = inner[0], the {w} test also makes w adjacent to the one
+    # attachment point, and every other neighbour of w is then an outside
+    # vertex other than w, so a leaf.
     attach = next(iter(attach_points))
-    if w not in g.neighbors(attach):
-        return False
-    if set(g.neighbors(attach)) - cycle != {w}:
-        return False
-    return all(u == attach or g.degree(u) == 1 for u in g.neighbors(w))
+    return set(g.neighbors(attach)) - cycle == {inner[0]}
 
 
 class SmallEcClass(enum.Enum):

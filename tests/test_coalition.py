@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +52,7 @@ from eclab.families import (
     two_disjoint_edges,
 )
 from eclab.graphs import Graph, are_isomorphic
-from eclab.oracle import CorpusSpec, brute_force_ec, enumerate_corpus
+from eclab.oracle import CorpusSpec, accepts_partition, brute_force_ec, enumerate_corpus
 
 from test_graphs import small_graphs
 
@@ -251,6 +252,24 @@ class TestSolver:
         assert result.ec == 4  # small instance: the budget is ample
         assert is_ec_partition(P6, result.certificate.blocks)
 
+    def test_lower_bound_skips_orders_that_time_out(self):
+        # An order-6 search of P17 (16 edges) run to its end takes about
+        # 8 s; the budget stops it, and a lower order gives a certificate.
+        g = path_graph(17)
+        start = time.monotonic()
+        result = edge_coalition_lower_bound(g, time_budget=0.5)
+        assert time.monotonic() - start < 3
+        assert result.mode == "lower_bound"
+        assert 1 <= result.ec <= 6
+        assert accepts_partition(g, result.certificate.blocks)
+
+    def test_lower_bound_error_prints_the_budget(self, monkeypatch):
+        # Each read of this clock is one second later, so the first order
+        # already starts past the deadline.
+        monkeypatch.setattr(coalition.time, "monotonic", itertools.count().__next__)
+        with pytest.raises(BudgetExceeded, match=r"within 0\.05s"):
+            edge_coalition_lower_bound(P6, time_budget=0.05)
+
     @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
     def test_lower_bound_rejects_non_finite_budget(self, monkeypatch, budget):
         # Such a budget never runs out, so every order would run to the end.
@@ -404,12 +423,12 @@ class TestPrefixPrunes:
     def test_label_jump(self, monkeypatch):
         # Labels grow by at most one, so each partition is searched once and
         # not once per relabeling.  No result shows that, the node count
-        # does: with a deadline set the search reads the clock once per
-        # 4,096 nodes, and K3,3 at k = 8 is refuted with no read, but with
-        # 867 when a label may jump.
+        # does: the search reads the clock once per 4,096 nodes, and K3,3
+        # at k = 8 is refuted with no read, but with 867 when a label may
+        # jump.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
-        assert coalition._find_partition_of_order(complete_bipartite(3, 3), 8, deadline=1e9) is None
+        assert coalition._find_partition_of_order(complete_bipartite(3, 3), 8) is None
         assert len(reads) <= 8
 
     def test_label_at_or_above_k(self):
@@ -438,13 +457,13 @@ class TestPrefixPrunes:
 
     @pytest.mark.parametrize("g, k", [(cycle_graph(11), 7), (path_graph(13), 8)])
     def test_early_reachability_cut_bounds_the_nodes(self, monkeypatch, g, k):
-        # With a deadline set, the search reads the clock once per 4,096
-        # nodes, so the number of reads bounds the nodes.  These refutations
-        # take 1 read each; without the cut on unreachable k, that is without
-        # the block count and the no-slack rule, they take 28 and 67.
+        # The search reads the clock once per 4,096 nodes, so the number of
+        # reads bounds the nodes.  These refutations take 1 read each;
+        # without the cut on unreachable k, that is without the block count
+        # and the no-slack rule, they take 28 and 67.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
-        assert coalition._find_partition_of_order(g, k, deadline=1e9) is None
+        assert coalition._find_partition_of_order(g, k) is None
         assert len(reads) <= 8
 
     def test_no_slack_opens_a_new_block(self, monkeypatch):
@@ -455,8 +474,17 @@ class TestPrefixPrunes:
         # such children are still tried.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
-        assert coalition._find_partition_of_order(complete_bipartite(3, 5), 13, deadline=1e9) is None
+        assert coalition._find_partition_of_order(complete_bipartite(3, 5), 13) is None
         assert len(reads) <= 3
+
+    def test_order_above_m(self, monkeypatch):
+        # No partition has more blocks than edges, so k = m + 1 is refuted
+        # before any node is searched; without that test at entry the search
+        # takes 67 reads.
+        reads = []
+        monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
+        assert coalition._find_partition_of_order(path_graph(13), 13, deadline=1e9) is None
+        assert reads == []
 
 
 class TestCoalitionGraph:
