@@ -33,7 +33,7 @@ from .coalition import (
 )
 from .domination import edge_domination_number
 from .errors import BudgetExceeded, EclabError, NotAnEcPartition
-from .families import K24_PARTITION_PRESETS, FamilySpec, generate
+from .families import K24_PARTITION_PRESETS, FamilySpec, complete_bipartite, generate
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .oracle import CorpusSpec, export_corpus
 
@@ -45,7 +45,7 @@ EXIT_PIPE = 141
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "family", None):
+    if args.family:
         return generate(FamilySpec.parse(args.family))
     path = Path(args.graph)
     try:
@@ -60,6 +60,11 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="family spec, e.g. path:6, cycle:7, dstar:3,2, kbip:2,4")
     group.add_argument("--graph", help="edge-list file ('n m' header, then 'u v' lines)")
+
+
+def _add_partition_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--partition", help="JSON array of edge-index arrays, e.g. '[[0,4],[1],[2],[3]]'")
+    parser.add_argument("--partition-id", help="built-in partition of kbip:2,4 (pi1..pi6)")
 
 
 def _add_format_arg(parser: argparse.ArgumentParser, *, dot: bool = False) -> None:
@@ -94,21 +99,20 @@ def _seconds(text: str) -> float:
 
 
 def _parse_partition_arg(args: argparse.Namespace, g: Graph) -> tuple[frozenset[int], ...]:
-    if getattr(args, "partition_id", None):
+    if args.partition_id:
         preset = K24_PARTITION_PRESETS.get(args.partition_id)
         if preset is None:
             raise EclabError(
                 f"unknown partition id {args.partition_id!r}; "
                 f"known: {', '.join(sorted(K24_PARTITION_PRESETS))}"
             )
-        if (g.n, g.m) != (6, 8):
+        if g != complete_bipartite(2, 4):
             raise EclabError("--partition-id presets apply to the graph kbip:2,4 only")
         return preset
-    raw = getattr(args, "partition", None)
-    if raw is None:
+    if args.partition is None:
         raise EclabError("a partition is required (--partition or --partition-id)")
     try:
-        data = json.loads(raw)
+        data = json.loads(args.partition)
     except json.JSONDecodeError as exc:
         raise EclabError(f"--partition is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
@@ -116,8 +120,7 @@ def _parse_partition_arg(args: argparse.Namespace, g: Graph) -> tuple[frozenset[
     return validate_partition(g, data)
 
 
-def _graph_as_dot(g: Graph, labels: list[str] | None = None) -> str:
-    names = labels if labels is not None else [str(v) for v in range(g.n)]
+def _graph_as_dot(g: Graph, names: list[str]) -> str:
     lines = ["graph {"]
     mentioned = set()
     for u, v in g.edges:
@@ -227,16 +230,13 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorems(args: argparse.Namespace) -> int:
-    tags = tuple(args.only.split(",")) if args.only else None
-    if tags is not None:
-        known = {tag for tag, _ in theorems.CHECKS}
-        unknown = [t for t in tags if t not in known]
-        if unknown:
-            raise EclabError(f"unknown check tags: {', '.join(unknown)}")
-    results = theorems.run_all(tags)
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return EXIT_NEGATIVE if failed else EXIT_OK
+    passed = total = 0
+    for result in theorems.run_all(args.only.split(",") if args.only else None):
+        print(f"{'PASS' if result.passed else 'FAIL'}  {result.tag:28s} {result.detail}")
+        passed += result.passed
+        total += 1
+    print(f"{passed}/{total} checks passed")
+    return EXIT_OK if passed == total else EXIT_NEGATIVE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,15 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a partition (JSON array of edge-index arrays)")
     _add_input_args(p)
     _add_format_arg(p)
-    p.add_argument("--partition", help='e.g. \'[[0,4],[1],[2],[3]]\'')
-    p.add_argument("--partition-id", help="built-in partition of kbip:2,4 (pi1..pi6)")
+    _add_partition_args(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ecg", help="build the coalition graph of an ec-partition")
     _add_input_args(p)
     _add_format_arg(p, dot=True)
-    p.add_argument("--partition", help="JSON array of arrays of edge indices")
-    p.add_argument("--partition-id", help="built-in partition of kbip:2,4 (pi1..pi6)")
+    _add_partition_args(p)
     p.set_defaults(func=_cmd_ecg)
 
     p = sub.add_parser("bounds", help="report known bounds with applicability flags")

@@ -484,7 +484,9 @@ def is_singleton_ec_graph(g: Graph) -> bool:
 
 def is_self_edge_coalition_graph(g: Graph) -> bool:
     """True iff g is isomorphic to the coalition graph of its own singleton
-    partition (which must itself be an ec-partition)."""
+    partition (which must itself be an ec-partition).  Raises
+    :class:`SizeLimitExceeded` when it must compare graphs on more than 12
+    vertices, as on T(5,3,2) with 13."""
     if g.m == 0:
         raise EmptyGraph("EC is undefined for graphs without edges")
     cert, covers = _verify(g, singleton_partition(g))

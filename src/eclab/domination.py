@@ -19,7 +19,10 @@ from .graphs import Graph, line_graph
 
 def check_edge_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
     """Normalize an edge-index collection, raising GraphMismatch on bad indices."""
-    s = frozenset(members)
+    try:
+        s = frozenset(members)
+    except TypeError as exc:
+        raise GraphMismatch(f"an edge set must be a collection of edge indices: {exc}") from exc
     for e in s:
         if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < g.m:
             raise GraphMismatch(f"edge index {e!r} does not exist in a graph with m={g.m}")

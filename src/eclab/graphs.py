@@ -245,19 +245,19 @@ def _eccentricities(g: Graph) -> list[int]:
 # --- isomorphism ---------------------------------------------------------
 
 
-def are_isomorphic(g1: Graph, g2: Graph, *, max_vertices: int = DEFAULT_ISO_VERTEX_CAP) -> bool:
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test: do the two graphs have the same canonical form?
 
     Intended for small graphs.  Graphs whose vertex or edge counts differ
     are non-isomorphic at any size; otherwise raises
-    :class:`SizeLimitExceeded` when they have more than ``max_vertices``
-    vertices.
+    :class:`SizeLimitExceeded` when they have more than
+    ``DEFAULT_ISO_VERTEX_CAP`` vertices.
     """
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    if g1.n > max_vertices:
+    if g1.n > DEFAULT_ISO_VERTEX_CAP:
         raise SizeLimitExceeded(
-            f"isomorphism test limited to {max_vertices} vertices, "
+            f"isomorphism test limited to {DEFAULT_ISO_VERTEX_CAP} vertices, "
             f"got {g1.n} and {g2.n}"
         )
     return _canonical_form(g1) == _canonical_form(g2)

@@ -1,9 +1,10 @@
 """Reproduction suite: closed forms, bounds, and characterizations at desk scale.
 
 Each check is exact (integer equality, no tolerances) and runs over
-exhaustively enumerated corpora of small graphs.  ``run_all`` prints one
-pass/fail line per check; the CLI verb ``theorems`` wraps it and exits
-nonzero when anything fails.
+exhaustively enumerated corpora of small graphs.  ``run_all`` yields one
+:class:`CheckResult` per check and prints nothing; the CLI verb
+``theorems`` prints one pass/fail line per result and exits nonzero when
+anything fails.
 
 Two checks report FAIL because the claims they test are false, not because
 of a bug (the independent brute-force oracle confirms both; see the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coalition import (
     coalition_graph,
@@ -31,6 +32,7 @@ from .coalition import (
     singleton_partition,
 )
 from .domination import edge_domination_number, gamma_prime_via_line_graph
+from .errors import EclabError
 from .families import (
     FamilySpec,
     K24_PARTITION_PRESETS,
@@ -83,6 +85,12 @@ def _bound_corpus() -> tuple[Graph, ...]:
     graphs += list(enumerate_corpus(CorpusSpec(8, ("unicyclic",))))
     graphs.append(two_disjoint_edges())
     return tuple(graphs)
+
+
+@lru_cache(maxsize=None)
+def _oracle_corpus() -> tuple[Graph, ...]:
+    """The bound corpus cut to m <= 9, where the brute-force oracle is quick."""
+    return tuple(g for g in _bound_corpus() if g.m <= 9)
 
 
 def _closed_form_mismatch(specs: Iterable[FamilySpec]) -> str | None:
@@ -170,26 +178,25 @@ def _check_small_ec() -> tuple[bool, str]:
     return True, f"{len(corpus)} graphs classified consistently"
 
 
+def _recognizer_sweep(
+    n: int, cls: str, recognizer: Callable[[Graph], bool], agree: str
+) -> tuple[bool, str]:
+    """EC = m iff ``recognizer`` accepts, over class ``cls`` up to ``n`` vertices."""
+    graphs = [g for g in enumerate_corpus(CorpusSpec(n, (cls,))) if g.m >= 1]
+    for g in graphs:
+        if (_ec(g) == g.m) != recognizer(g):
+            return False, f"counterexample: {g.edges}"
+    return True, f"{len(graphs)} {agree}"
+
+
 def _check_trees() -> tuple[bool, str]:
     """For every tree up to 9 vertices: EC(T) = n-1 iff the recognizer accepts."""
-    count = 0
-    for g in enumerate_corpus(CorpusSpec(9, ("trees",))):
-        if g.m < 1:
-            continue
-        count += 1
-        if (_ec(g) == g.n - 1) != phi_recognizer(g):
-            return False, f"counterexample: {g.edges}"
-    return True, f"{count} trees agree with the recognizer"
+    return _recognizer_sweep(9, "trees", phi_recognizer, "trees agree with the recognizer")
 
 
 def _check_unicyclic() -> tuple[bool, str]:
     """For every unicyclic graph up to 8 vertices: EC(G) = n iff the recognizer accepts."""
-    count = 0
-    for g in enumerate_corpus(CorpusSpec(8, ("unicyclic",))):
-        count += 1
-        if (_ec(g) == g.n) != theta_recognizer(g):
-            return False, f"counterexample: {g.edges}"
-    return True, f"{count} unicyclic graphs agree"
+    return _recognizer_sweep(8, "unicyclic", theta_recognizer, "unicyclic graphs agree")
 
 
 @dataclass(frozen=True)
@@ -334,16 +341,12 @@ def _check_coalition_graphs() -> tuple[bool, str]:
 
 def _check_oracle() -> tuple[bool, str]:
     """Solver EC equals brute-force EC on every corpus graph with m <= 9."""
-    count = 0
-    for g in _bound_corpus():
-        if g.m > 9:
-            continue
-        count += 1
+    for g in _oracle_corpus():
         fast = _ec(g)
         slow = brute_force_ec(g)
         if fast != slow:
             return False, f"{g.edges}: solver {fast} != oracle {slow}"
-    return True, f"{count} graphs agree with the oracle"
+    return True, f"{len(_oracle_corpus())} graphs agree with the oracle"
 
 
 def _check_spot_checks() -> tuple[bool, str]:
@@ -366,11 +369,7 @@ def _check_spot_checks() -> tuple[bool, str]:
 def _check_gamma_identity() -> tuple[bool, str]:
     """gamma'(G) equals the vertex domination number of the line graph;
     gamma' of K_n and K_{n/2,n/2} is n/2 at the stated orders."""
-    count = 0
-    for g in _bound_corpus():
-        if g.m > 9:
-            continue
-        count += 1
+    for g in _oracle_corpus():
         if edge_domination_number(g).gamma_prime != gamma_prime_via_line_graph(g):
             return False, f"identity fails at {g.edges}"
     for n in (4, 6, 8):
@@ -379,7 +378,7 @@ def _check_gamma_identity() -> tuple[bool, str]:
     for r in (2, 3):
         if edge_domination_number(complete_bipartite(r, r)).gamma_prime != r:
             return False, f"K_{r},{r} != {r}"
-    return True, f"{count} graphs plus K_n/K_r,r cases agree"
+    return True, f"{len(_oracle_corpus())} graphs plus K_n/K_r,r cases agree"
 
 
 # Each check returns (passed, detail); its tag is named here and only here.
@@ -401,20 +400,21 @@ CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
+def run_all(tags: Sequence[str] | None = None) -> Iterator[CheckResult]:
+    """Yield each result of the suite, or of the checks in ``tags``, in
+    ``CHECKS`` order as its check finishes.  Unknown tags raise
+    :class:`EclabError` before any check runs.  ``CHECKS`` is read at call
+    time, so a caller may replace it (the benchmark tracer wraps each check).
+    """
+    checks = CHECKS
+    if tags is not None:
+        known = {tag for tag, _ in checks}
+        unknown = [t for t in tags if t not in known]
+        if unknown:
+            raise EclabError(f"unknown check tags: {', '.join(unknown)}")
+        checks = tuple((tag, fn) for tag, fn in checks if tag in tags)
+    return (CheckResult(tag, *fn()) for tag, fn in checks)
+
+
 def run_check(tag: str) -> CheckResult:
-    for name, fn in CHECKS:
-        if name == tag:
-            return CheckResult(tag, *fn())
-    raise KeyError(f"unknown check tag {tag!r}")
-
-
-def run_all(tags: tuple[str, ...] | None = None) -> list[CheckResult]:
-    """Run the suite (optionally a subset) and print one line per check."""
-    selected = CHECKS if tags is None else [(t, fn) for t, fn in CHECKS if t in tags]
-    results = []
-    for tag, fn in selected:
-        result = CheckResult(tag, *fn())
-        results.append(result)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status}  {tag:28s} {result.detail}")
-    return results
+    return next(run_all((tag,)))

@@ -20,16 +20,22 @@ hit, or any disagreement between oracle and solver, fails them.
   C5 and the net.
 """
 
+import pytest
+
+import eclab.theorems
 from eclab.coalition import ec_bounds, edge_coalition_number, singleton_partition
 from eclab.domination import gamma_prime_via_line_graph
+from eclab.errors import EclabError
 from eclab.families import K24_PARTITION_PRESETS
 from eclab.graphs import Graph, are_isomorphic
 from eclab.oracle import accepts_partition, brute_force_ec
 from eclab.theorems import (
     CHECKS,
+    CheckResult,
     bound_violations,
     k24_preset_mismatches,
     p3_bound_sharp,
+    run_all,
     run_check,
     self_coalition_census,
     star_ecg_mismatches,
@@ -192,3 +198,37 @@ def test_criterion_14_gamma_identity():
 
 def test_every_check_has_a_criterion_test():
     assert {tag for tag, _ in CHECKS} == set(_DESCRIPTIONS)
+
+
+def _spy_checks(monkeypatch) -> list[str]:
+    """Replace ``CHECKS`` by cheap stand-ins that record each tag they run."""
+    ran: list[str] = []
+
+    def make(tag):
+        def check():
+            ran.append(tag)
+            return True, f"{tag} ran"
+
+        return check
+
+    monkeypatch.setattr(eclab.theorems, "CHECKS", tuple((tag, make(tag)) for tag, _ in CHECKS))
+    return ran
+
+
+def test_run_all_reads_checks_at_call_time_and_keeps_their_order(monkeypatch):
+    ran = _spy_checks(monkeypatch)
+    results = list(run_all(["gamma-prime-identity", "paths-closed-form"]))
+    assert ran == ["paths-closed-form", "gamma-prime-identity"]
+    assert results == [
+        CheckResult("paths-closed-form", True, "paths-closed-form ran"),
+        CheckResult("gamma-prime-identity", True, "gamma-prime-identity ran"),
+    ]
+
+
+def test_unknown_tags_raise_before_any_check_runs(monkeypatch):
+    ran = _spy_checks(monkeypatch)
+    with pytest.raises(EclabError, match="unknown check tags: nonsense, bad$"):
+        run_all(["nonsense", "paths-closed-form", "bad"])
+    with pytest.raises(EclabError, match="unknown check tags: nonsense$"):
+        run_check("nonsense")
+    assert ran == []

@@ -1,11 +1,14 @@
 """Tests for the command-line interface: verbs, formats, exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eclab
 from eclab.cli import main
 from eclab.graphs import parse_edge_list
 
@@ -178,6 +181,26 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--family", "path:6", "--partition-id", "pi1")
         assert code == 2
 
+    @pytest.mark.parametrize("verb, pid", [("verify", "pi6"), ("ecg", "pi1")])
+    def test_preset_on_other_graph_with_six_vertices_and_eight_edges(
+        self, capsys, tmp_path, verb, pid
+    ):
+        # C6 plus the chords 0-3 and 1-4 has the shape (6, 8) of kbip:2,4,
+        # but the presets name edge indices of kbip:2,4 alone.
+        path = tmp_path / "c6_chords.el"
+        path.write_text("6 8\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 3\n1 4\n")
+        code, out, err = run_cli(capsys, verb, "--graph", str(path), "--partition-id", pid)
+        assert code == 2
+        assert out == ""
+        assert "apply to the graph kbip:2,4 only" in err
+
+    def test_preset_on_generated_kbip_file(self, capsys, tmp_path):
+        path = tmp_path / "k24.el"
+        assert main(["generate", "--family", "kbip:2,4", "--output", str(path)]) == 0
+        code, out, _ = run_cli(capsys, "verify", "--graph", str(path), "--partition-id", "pi6")
+        assert code == 0
+        assert out == "valid ec-partition of order 4\n"
+
 
 class TestEcg:
     def test_dot_output(self, capsys):
@@ -301,6 +324,54 @@ class TestTheorems:
         code, _, err = run_cli(capsys, "theorems", "--only", "nonsense")
         assert code == 2
         assert "unknown check tags" in err
+
+    def test_full_suite_output(self, capsys):
+        # Criteria 9 and 11 fail on purpose: both refute claims of the paper.
+        code, out, err = run_cli(capsys, "theorems")
+        assert code == 1
+        assert err == ""
+        assert out.splitlines() == THEOREMS_STDOUT
+
+
+THEOREMS_STDOUT = [
+    "PASS  paths-closed-form            paths n=2..14 match; P_13 witness has 6 blocks",
+    "PASS  cycles-closed-form           cycles n=3..12 match",
+    "PASS  stars-and-double-stars       stars n=1..8 and 25 double stars match",
+    "PASS  complete-graphs              K_2..K_5 attain m; EC(K_6) = 13 < 15; K_4 sharp at 2(n-1)",
+    "PASS  complete-bipartite           K_2,2 = 4; K_2,3 = 6 >= 6; K_2,4 = 8 >= 8",
+    "PASS  small-ec-classes             31 graphs classified consistently",
+    "PASS  trees-phi                    94 trees agree with the recognizer",
+    "PASS  unicyclic-theta              143 unicyclic graphs agree",
+    "FAIL  bound-suite                  2 violations, e.g. "
+    "((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)): twice-gamma-minus-one=5 vs EC=4; "
+    "((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (4, 8)): "
+    "twice-gamma-minus-one=7 vs EC=4",
+    "PASS  partner-cap                  1627 blocks within the partner cap",
+    "FAIL  coalition-graph-theorems     self-coalition census differs from the expected "
+    "two-graph answer: extra hits [((0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6))], "
+    "missing []",
+    "PASS  oracle-equivalence           284 graphs agree with the oracle",
+    "PASS  singleton-ec-spot-checks     3 spot checks and 15 dense graphs consistent",
+    "PASS  gamma-prime-identity         284 graphs plus K_n/K_r,r cases agree",
+    "12/14 checks passed",
+]
+
+
+def test_only_the_cli_writes_to_stdout():
+    # The library returns results; printing them is the front end's job.
+    package = Path(eclab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "print":
+                    offenders.append(f"{path.name}:{node.lineno} print")
+            elif isinstance(node, ast.Attribute) and node.attr == "stdout":
+                offenders.append(f"{path.name}:{node.lineno} .stdout")
+    assert len(list(package.glob("*.py"))) > 5, "no modules found"
+    assert offenders == []
 
 
 def test_console_entry_point():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eclab.cli import main
+from eclab.coalition import forms_edge_coalition
 from eclab.domination import (
     check_edge_set,
     edge_domination_number,
@@ -70,6 +71,22 @@ class TestIsEdgeDominatingSet:
     def test_bool_indices_are_a_graph_mismatch(self):
         with pytest.raises(GraphMismatch):
             check_edge_set(path_graph(3), [True])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: is_edge_dominating_set(g, [[0]]),
+            lambda g: is_edge_dominating_set(g, 5),
+            lambda g: is_minimal_edge_dominating_set(g, [[0]]),
+            lambda g: forms_edge_coalition(g, [[0]], {2}),
+        ],
+        ids=["unhashable", "not-iterable", "minimal", "coalition"],
+    )
+    def test_malformed_edge_sets_are_a_graph_mismatch(self, call):
+        # Unhashable members and non-iterables fail inside frozenset();
+        # that TypeError must surface as an EclabError like any bad index.
+        with pytest.raises(GraphMismatch):
+            call(path_graph(4))
 
     @settings(max_examples=60)
     @given(small_graphs(min_m=1), st.data())
