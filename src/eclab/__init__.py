@@ -66,7 +66,6 @@ from .graphs import (
     are_isomorphic,
     edge_neighborhood,
     format_edge_list,
-    graph_from_edge_list,
     graph_metrics,
     is_full_edge,
     line_graph,
@@ -111,7 +110,6 @@ __all__ = [
     "forms_edge_coalition",
     "format_edge_list",
     "generate",
-    "graph_from_edge_list",
     "graph_metrics",
     "is_ec_partition",
     "is_edge_dominating_set",

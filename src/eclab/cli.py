@@ -2,11 +2,13 @@
 
 Verbs: ``ec``, ``gamma``, ``verify``, ``ecg``, ``bounds``, ``generate``,
 ``corpus``, ``theorems``.  Graphs come either from a family spec string
-(``--family path:6``) or an edge-list file (``--graph g.el``).  Exit codes:
-0 success, 1 negative verification (or failed theorem checks), 2 usage
-error, 3 budget exceeded, 141 (128 + SIGPIPE) when the reader of stdout
-hung up.  The environment variable ``ECLAB_MAX_EDGES`` overrides the
-exact-mode edge cap.
+(``--family path:6``) or an edge-list file (``--graph g.el``), partitions
+from exactly one of ``--partition`` JSON or a ``--partition-id`` preset,
+and the verifier alone checks them.  Exit codes: 0 success, 1 negative
+verification (or failed theorem checks), 2 usage error (bad input, an
+unreadable input or an unwritable output), 3 budget exceeded, 141 (128 +
+SIGPIPE) when the reader of stdout hung up.  ``ECLAB_MAX_EDGES`` in the
+environment overrides the exact-mode edge cap.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Any
 
 from . import theorems
 from .coalition import (
@@ -29,7 +32,6 @@ from .coalition import (
     edge_coalition_lower_bound,
     edge_coalition_number,
     is_ec_partition,
-    validate_partition,
 )
 from .domination import edge_domination_number
 from .errors import BudgetExceeded, EclabError, NotAnEcPartition
@@ -50,8 +52,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     path = Path(args.graph)
     try:
         return parse_edge_list(path.read_text())
-    except OSError as exc:
-        raise EclabError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise EclabError(f"cannot parse {path}: {exc}") from exc
 
@@ -63,8 +63,9 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_partition_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--partition", help="JSON array of edge-index arrays, e.g. '[[0,4],[1],[2],[3]]'")
-    parser.add_argument("--partition-id", help="built-in partition of kbip:2,4 (pi1..pi6)")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--partition", help="JSON array of edge-index arrays, e.g. '[[0,4],[1],[2],[3]]'")
+    group.add_argument("--partition-id", help="built-in partition of kbip:2,4 (pi1..pi6)")
 
 
 def _add_format_arg(parser: argparse.ArgumentParser, *, dot: bool = False) -> None:
@@ -98,8 +99,9 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _parse_partition_arg(args: argparse.Namespace, g: Graph) -> tuple[frozenset[int], ...]:
-    if args.partition_id:
+def _parse_partition_arg(args: argparse.Namespace, g: Graph) -> Any:
+    """The ``--partition-id`` preset, or the ``--partition`` JSON as decoded; the verifier checks it."""
+    if args.partition_id is not None:
         preset = K24_PARTITION_PRESETS.get(args.partition_id)
         if preset is None:
             raise EclabError(
@@ -109,15 +111,10 @@ def _parse_partition_arg(args: argparse.Namespace, g: Graph) -> tuple[frozenset[
         if g != complete_bipartite(2, 4):
             raise EclabError("--partition-id presets apply to the graph kbip:2,4 only")
         return preset
-    if args.partition is None:
-        raise EclabError("a partition is required (--partition or --partition-id)")
     try:
-        data = json.loads(args.partition)
-    except json.JSONDecodeError as exc:
+        return json.loads(args.partition)
+    except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
         raise EclabError(f"--partition is not valid JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
-        raise EclabError("--partition must be a JSON array of arrays of edge indices")
-    return validate_partition(g, data)
 
 
 def _graph_as_dot(g: Graph, names: list[str]) -> str:
@@ -311,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    except OSError as exc:  # an unreadable input or an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

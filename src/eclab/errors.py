@@ -68,7 +68,7 @@ class NotUnicyclic(EclabError, ValueError):
 
 
 class InvalidSpec(EclabError, ValueError):
-    """A family specification violates its parameter constraints."""
+    """A textual input is malformed: a family or corpus spec, or edge-list text."""
 
 
 class TooManyEdges(EclabError, ValueError):

@@ -2,11 +2,12 @@
 
 Edges are stored in insertion order and addressed everywhere in the
 library by their 0-based index; sets of edges are plain ``frozenset``
-objects of indices.  A :class:`Graph` stores one bitmask per edge, its
-closed edge neighbourhood N[e], built once at construction; every other
-edge relation (open neighbourhoods, the line graph) is read from those
-bits.  A :class:`Graph` is immutable after construction, so instances can
-be shared freely between threads and reused as dictionary keys.
+objects of indices.  A :class:`Graph` keeps one incident-edge bitmask per
+vertex and builds from them, on first use, one bitmask per edge, its closed
+edge neighbourhood N[e]; every other edge relation (open neighbourhoods,
+the line graph) is read from those bits.  A :class:`Graph` is immutable
+after construction and that fill always stores the same masks, so
+instances can be shared freely between threads and reused as keys.
 
 The module also provides the edge-list text format used by the CLI:
 a header line ``"n m"`` followed by ``m`` lines ``"u v"``; blank lines
@@ -22,6 +23,7 @@ from typing import Iterable
 from .errors import (
     DuplicateEdge,
     EdgeIndexOutOfRange,
+    InvalidSpec,
     OutOfRangeVertex,
     SelfLoop,
     SizeLimitExceeded,
@@ -35,9 +37,11 @@ class Graph:
 
     Vertices are ``0..n-1``.  Edges are unordered pairs, normalized to
     ``(min, max)`` and kept in insertion order; ``m`` is the edge count.
+    The closed edge masks take m² bits, so the first :meth:`closed_edge_masks`
+    call builds them: a graph only stored, written or refused never does.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_closed")
+    __slots__ = ("n", "edges", "_adj", "_incident", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -63,9 +67,8 @@ class Graph:
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        # Closed edge neighbourhoods N[e]: bit f set iff f == e or f shares
-        # an endpoint with e.
-        self._closed = tuple(incident[u] | incident[v] for u, v in normalized)
+        self._incident = tuple(incident)
+        self._closed: tuple[int, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -88,10 +91,14 @@ class Graph:
     def edge_neighbor_mask(self, e: int) -> int:
         """Open neighborhood of edge ``e`` as a bitmask (``e`` excluded)."""
         self._check_edge(e)
-        return self._closed[e] ^ 1 << e
+        return self.closed_edge_masks()[e] ^ 1 << e
 
     def closed_edge_masks(self) -> tuple[int, ...]:
         """Closed neighborhood masks ``N[e] = N(e) | {e}`` for all edges."""
+        if self._closed is None:
+            # Bit f of N[e] is set iff f == e or f shares an endpoint with e.
+            incident = self._incident
+            self._closed = tuple(incident[u] | incident[v] for u, v in self.edges)
         return self._closed
 
     def _check_edge(self, e: int) -> None:
@@ -106,11 +113,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def graph_from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph on ``n`` vertices from vertex pairs, indexed in input order."""
-    return Graph(n, pairs)
 
 
 @dataclass(frozen=True)
@@ -324,27 +326,22 @@ def _canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: ``"n m"`` header, then ``m`` ``"u v"`` lines."""
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(stripped)
+    rows = [line.strip() for line in text.splitlines()]
+    rows = [row for row in rows if row and not row.startswith("#")]
     if not rows:
-        raise ValueError("empty edge-list input")
-    header = rows[0].split()
-    if len(header) != 2:
-        raise ValueError(f"expected header 'n m', got {rows[0]!r}")
-    n, m = int(header[0]), int(header[1])
+        raise InvalidSpec("empty edge-list input")
+    n, m = _int_pair(rows[0], "header 'n m'")
     if len(rows) - 1 != m:
-        raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    pairs = []
-    for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected edge line 'u v', got {row!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return Graph(n, pairs)
+        raise InvalidSpec(f"header declares {m} edges but {len(rows) - 1} lines follow")
+    return Graph(n, [_int_pair(row, "edge line 'u v'") for row in rows[1:]])
+
+
+def _int_pair(row: str, what: str) -> tuple[int, int]:
+    try:
+        a, b = map(int, row.split())
+    except ValueError:
+        raise InvalidSpec(f"expected {what}, got {row!r}") from None
+    return a, b
 
 
 def format_edge_list(g: Graph) -> str:

@@ -245,6 +245,42 @@ class TestEcg:
         assert "no partner" in err
 
 
+class TestInputBoundary:
+    """Bad input, unreadable input files and unwritable outputs exit 2 with one message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["verify", "--family", "kbip:2,4", "--partition", "[[0]]", "--partition-id", "pi6"],
+                "not allowed with argument",
+            ),
+            (["verify", "--family", "kbip:2,4"], "--partition --partition-id is required"),
+            (["verify", "--family", "kbip:2,4", "--partition-id", ""], "unknown partition id ''"),
+            (["ecg", "--family", "path:6", "--partition", "5"], "edge indices"),
+            (["ecg", "--family", "path:6", "--partition", '{"a": [0]}'], "nonexistent edge 'a'"),
+            (["verify", "--family", "path:3", "--partition", "[[" + "9" * 5000 + "]]"], "not valid JSON"),
+            (["verify", "--family", "path:3", "--partition", "[" * 100_000], "not valid JSON"),
+            (["ec", "--graph", "{tmp}/missing.el"], "{tmp}/missing.el"),
+            (["generate", "--family", "path:4", "--output", "{tmp}"], "{tmp}"),
+            (["generate", "--family", "path:4", "--output", "{tmp}/no/x.el"], "{tmp}/no/x.el"),
+            (["corpus", "--max-vertices", "3", "--out-dir", "{tmp}/file"], "{tmp}/file"),
+        ],
+    )
+    def test_usage_error(self, capsys, tmp_path, argv, message):
+        (tmp_path / "file").write_text("")
+        try:
+            code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        except SystemExit as exc:  # argparse reports its own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert message.replace("{tmp}", str(tmp_path)) in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestBounds:
     def test_text_table(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--family", "cycle:7")

@@ -4,13 +4,17 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eclab.coalition import edge_coalition_number
 from eclab.errors import (
+    BudgetExceeded,
     DuplicateEdge,
+    EclabError,
     EdgeIndexOutOfRange,
     OutOfRangeVertex,
     SelfLoop,
@@ -29,7 +33,6 @@ from eclab.graphs import (
     are_isomorphic,
     edge_neighborhood,
     format_edge_list,
-    graph_from_edge_list,
     graph_metrics,
     is_full_edge,
     line_graph,
@@ -106,31 +109,42 @@ def _relabeled(g: Graph, seed: int) -> Graph:
 
 class TestConstruction:
     def test_p3_direct(self):
-        g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         assert g.n == 3 and g.m == 2
         assert g.edges == ((0, 1), (1, 2))
 
     def test_c4_direct(self):
-        g = graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert g.m == 4
 
     def test_duplicate_edge_rejected_unordered(self):
         with pytest.raises(DuplicateEdge):
-            graph_from_edge_list(2, [(0, 1), (1, 0)])
+            Graph(2, [(0, 1), (1, 0)])
         with pytest.raises(DuplicateEdge):
-            graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (2, 1)])
+            Graph(4, [(0, 1), (1, 2), (2, 3), (2, 1)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
-            graph_from_edge_list(2, [(0, 0)])
+            Graph(2, [(0, 0)])
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(OutOfRangeVertex):
-            graph_from_edge_list(2, [(0, 2)])
+            Graph(2, [(0, 2)])
 
     def test_isolated_vertices_allowed(self):
-        g = graph_from_edge_list(5, [(0, 1)])
+        g = Graph(5, [(0, 1)])
         assert g.n == 5 and g.m == 1
+
+    def test_refused_exact_solve_builds_no_edge_masks(self):
+        # K300 has 44,850 edges; its closed edge masks alone take about 240 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                edge_coalition_number(complete_graph(300))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestEdgeNeighborhood:
@@ -370,3 +384,8 @@ class TestEdgeListFormat:
     def test_header_count_mismatch(self):
         with pytest.raises(ValueError):
             parse_edge_list("2 2\n0 1\n")
+
+    @pytest.mark.parametrize("text", ["", "x y\n", "2 1\n0 1 2\n", "2 2\n0 1\n"])
+    def test_malformed_text_is_eclab_error(self, text):
+        with pytest.raises(EclabError):
+            parse_edge_list(text)
