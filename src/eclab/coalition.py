@@ -580,12 +580,11 @@ def ec_bounds(g: Graph) -> BoundReport:
 def _complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
     """(r, s) with r <= s when g is a complete bipartite graph, else None.
 
-    The sides are the parities of the BFS distances from vertex 0: a
-    connected graph is bipartite iff no edge joins two vertices of equal
-    parity, and then it is complete bipartite iff m = r * s.
+    ``g`` must have an edge (:func:`ec_bounds` refuses it otherwise).  The
+    sides are the parities of the BFS distances from vertex 0: a connected
+    graph is bipartite iff no edge joins two vertices of equal parity, and
+    then it is complete bipartite iff m = r * s.
     """
-    if g.m == 0:
-        return None
     dist = _bfs_distances(g, 0)
     if min(dist) < 0 or any(dist[u] % 2 == dist[v] % 2 for u, v in g.edges):
         return None

@@ -72,7 +72,8 @@ def generate(spec: FamilySpec) -> Graph:
 
     Vertex layout: paths/cycles sequential; star center 0; double-star
     centers 0 (p leaves) and 1 (q leaves), joined; complete-bipartite parts
-    ``0..r-1`` and ``r..r+s-1``.  Edges are indexed in lexicographic order.
+    ``0..r-1`` and ``r..r+s-1``.  Every pair is built as ``(min, max)``, so
+    sorting them indexes the edges in lexicographic order.
     """
     kind, p = spec.kind, spec.params
     if kind == "path":
@@ -97,7 +98,7 @@ def generate(spec: FamilySpec) -> Graph:
         r, s = p
         n = r + s
         pairs = [(a, b) for a in range(r) for b in range(r, r + s)]
-    return Graph(n, sorted(tuple(sorted(pair)) for pair in pairs))
+    return Graph(n, sorted(pairs))
 
 
 def path_graph(n: int) -> Graph:

@@ -2,10 +2,10 @@
 
 Edges are stored in insertion order and addressed everywhere in the
 library by their 0-based index; sets of edges are plain ``frozenset``
-objects of indices.  A :class:`Graph` keeps one incident-edge bitmask per
-vertex and builds from them, on first use, one bitmask per edge, its closed
-edge neighbourhood N[e]; every other edge relation (open neighbourhoods,
-the line graph) is read from those bits.  A :class:`Graph` is immutable
+objects of indices.  A :class:`Graph` stores the edge list and builds
+from it, on first use, one bitmask per edge, its closed edge
+neighbourhood N[e]; every other edge relation (open neighbourhoods, the
+line graph) is read from those bits.  A :class:`Graph` is immutable
 after construction and that fill always stores the same masks, so
 instances can be shared freely between threads and reused as keys.
 
@@ -36,38 +36,33 @@ class Graph:
     """Immutable undirected simple graph.
 
     Vertices are ``0..n-1``.  Edges are unordered pairs, normalized to
-    ``(min, max)`` and kept in insertion order; ``m`` is the edge count.
-    The closed edge masks take m² bits, so the first :meth:`closed_edge_masks`
-    call builds them: a graph only stored, written or refused never does.
+    ``(min, max)`` and stored in insertion order, with the sorted adjacency
+    of each vertex; ``m`` is the edge count.  The closed edge masks take m²
+    bits, so the first :meth:`closed_edge_masks` call builds them from the
+    edge list: a graph only stored, written or refused never does.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_incident", "_closed")
+    __slots__ = ("n", "edges", "_adj", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise OutOfRangeVertex(f"vertex count must be nonnegative, got {n}")
-        normalized: list[tuple[int, int]] = []
+        pairs: dict[tuple[int, int], None] = {}  # insertion-ordered edge set
         adj: list[list[int]] = [[] for _ in range(n)]
-        # incident[v] has bit e set iff edge e ends at v.
-        incident = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise OutOfRangeVertex(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             pair = (u, v) if u < v else (v, u)
-            if incident[u] & incident[v]:  # only the edge uv can end at both
+            if pair in pairs:
                 raise DuplicateEdge(f"duplicate edge {pair}")
-            bit = 1 << len(normalized)
-            incident[u] |= bit
-            incident[v] |= bit
+            pairs[pair] = None
             adj[u].append(v)
             adj[v].append(u)
-            normalized.append(pair)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
+        self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._incident = tuple(incident)
         self._closed: tuple[int, ...] | None = None
 
     @property
@@ -97,7 +92,10 @@ class Graph:
         """Closed neighborhood masks ``N[e] = N(e) | {e}`` for all edges."""
         if self._closed is None:
             # Bit f of N[e] is set iff f == e or f shares an endpoint with e.
-            incident = self._incident
+            incident = [0] * self.n  # bit f of incident[v]: edge f ends at v
+            for f, (u, v) in enumerate(self.edges):
+                incident[u] |= 1 << f
+                incident[v] |= 1 << f
             self._closed = tuple(incident[u] | incident[v] for u, v in self.edges)
         return self._closed
 

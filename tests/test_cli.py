@@ -64,6 +64,12 @@ class TestEc:
         code, out, _ = run_cli(capsys, "ec", "--family", "path:6", "--format", "json")
         assert code == 0 and json.loads(out)["ec"] == 4
 
+    def test_malformed_env_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ECLAB_MAX_EDGES", "abc")
+        code, out, err = run_cli(capsys, "ec", "--family", "path:4")
+        assert (code, out) == (2, "")
+        assert err == "error: ECLAB_MAX_EDGES must be an integer, got 'abc'\n"
+
     def test_lower_bound_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "ec", "--family", "path:6", "--lower-bound", "--format", "json"
@@ -120,6 +126,11 @@ class TestGamma:
         assert payload["gamma_prime"] == 2
         assert len(payload["witness"]) == 2
 
+    def test_text(self, capsys):
+        assert run_cli(capsys, "gamma", "--family", "path:4") == (
+            0, "gamma' 1\nwitness [1]\n", ""
+        )
+
 
 class TestVerify:
     def test_negative_singleton(self, capsys, tmp_path):
@@ -148,6 +159,23 @@ class TestVerify:
         )
         assert code == 0
         assert "order 4" in out
+
+    @pytest.mark.parametrize(
+        "partition, code, payload",
+        [
+            (
+                "[[0,4],[1],[2],[3]]",
+                0,
+                {"valid": True, "order": 4, "blocks": [[0, 4], [1], [2], [3]]},
+            ),
+            ("[[0],[1],[2],[3],[4]]", 1, {"valid": False, "block": 2, "reason": "no_partner"}),
+        ],
+        ids=["positive", "negative"],
+    )
+    def test_json(self, capsys, partition, code, payload):
+        assert run_cli(
+            capsys, "verify", "--family", "path:6", "--format", "json", "--partition", partition
+        ) == (code, json.dumps(payload) + "\n", "")
 
     def test_invalid_partition_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -227,6 +255,12 @@ class TestEcg:
         g = parse_edge_list(out)
         assert g.n == 4 and g.m == 4
 
+    def test_json_output(self, capsys):
+        assert run_cli(
+            capsys, "ecg", "--family", "path:6", "--partition", "[[0,4],[1],[2],[3]]",
+            "--format", "json",
+        ) == (0, '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 3]]}\n', "")
+
     def test_isolated_vertices_listed_in_dot(self, capsys):
         code, out, _ = run_cli(
             capsys, "ecg", "--family", "star:3", "--partition", "[[0],[1],[2]]",
@@ -265,10 +299,19 @@ class TestInputBoundary:
             (["generate", "--family", "path:4", "--output", "{tmp}"], "{tmp}"),
             (["generate", "--family", "path:4", "--output", "{tmp}/no/x.el"], "{tmp}/no/x.el"),
             (["corpus", "--max-vertices", "3", "--out-dir", "{tmp}/file"], "{tmp}/file"),
+            (
+                ["ec", "--graph", "{tmp}/xy.el"],
+                "error: cannot parse {tmp}/xy.el: expected header 'n m', got 'x y'\n",
+            ),
+            (
+                ["ec", "--family", "path:4", "--lower-bound", "--time-budget", "abc"],
+                "argument --time-budget: must be a finite number of seconds, got 'abc'",
+            ),
         ],
     )
     def test_usage_error(self, capsys, tmp_path, argv, message):
         (tmp_path / "file").write_text("")
+        (tmp_path / "xy.el").write_text("x y\n")
         try:
             code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
         except SystemExit as exc:  # argparse reports its own usage errors

@@ -173,6 +173,12 @@ class TestIsEcPartition:
         with pytest.raises(InvalidPartition, match="unhashable"):
             validate_partition(path_graph(3), [[[0]], [1]])
 
+    def test_edgeless_graph_has_no_partition(self):
+        with pytest.raises(InvalidPartition, match="no edges"):
+            validate_partition(Graph(3), [])
+        with pytest.raises(InvalidPartition, match="no edges"):
+            singleton_partition(Graph(3))
+
     @settings(max_examples=50)
     @given(small_graphs(min_m=1), st.data())
     def test_certificate_reverifies_from_scratch(self, g, data):
@@ -228,6 +234,20 @@ class TestSolver:
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraph):
             edge_coalition_number(Graph(3))
+
+    @pytest.mark.parametrize(
+        "routine",
+        [
+            edge_coalition_lower_bound,
+            is_singleton_ec_graph,
+            is_self_edge_coalition_graph,
+            ec_bounds,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_every_ec_routine_refuses_an_edgeless_graph(self, routine):
+        with pytest.raises(EmptyGraph):
+            routine(Graph(3))
 
     def test_budget_cap(self):
         with pytest.raises(BudgetExceeded):

@@ -45,6 +45,10 @@ class TestSpecsAndGenerators:
         with pytest.raises(InvalidSpec):
             FamilySpec.parse(bad)
 
+    def test_unknown_kind_refused_by_the_constructor(self):
+        with pytest.raises(InvalidSpec, match="unknown family kind 'widget'"):
+            FamilySpec("widget", (1,))
+
     def test_parse_accepts_kind_or_short_name_in_any_case(self):
         for text in ("double_star:3,2", "DSTAR:3,2", "Double_Star:3,2"):
             assert FamilySpec.parse(text) == FamilySpec("double_star", (3, 2))
@@ -96,6 +100,7 @@ class TestClosedForms:
             ("complete:6", None),
             ("kbip:1,4", 4),
             ("kbip:2,3", None),
+            ("kbip:3,1", 3),
         ],
     )
     def test_values(self, text, expected):

@@ -130,6 +130,8 @@ class TestConstruction:
     def test_out_of_range_endpoint(self):
         with pytest.raises(OutOfRangeVertex):
             Graph(2, [(0, 2)])
+        with pytest.raises(OutOfRangeVertex, match="nonnegative"):
+            Graph(-1)
 
     def test_isolated_vertices_allowed(self):
         g = Graph(5, [(0, 1)])
@@ -145,6 +147,18 @@ class TestConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_refused_long_path_builds_no_per_vertex_edge_masks(self):
+        # P20000 has 19,999 edges; one incident-edge bitmask per vertex, built
+        # while the edges are read, would hold m²/2 bits, about 24 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                edge_coalition_number(path_graph(20000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestEdgeNeighborhood:

@@ -262,6 +262,8 @@ class TestCorpusApi:
             graphs_of_order("widgets", 3)
         with pytest.raises(BudgetExceeded):
             CorpusSpec(14, ("trees",))
+        with pytest.raises(BudgetExceeded):
+            graphs_of_order("trees", 14)
         CorpusSpec(13, ("trees",))  # allowed
 
     def test_repeated_class_rejected(self):
