@@ -169,8 +169,9 @@ def _partners(covers: Sequence[int], full: int, i: int) -> Iterator[int]:
     """Blocks forming an edge coalition with block ``i``, lowest index first."""
     if covers[i] == full:
         return
+    # Block i never partners itself: covers[i] | covers[i] is covers[i], not full.
     for j, cover in enumerate(covers):
-        if j != i and cover != full and covers[i] | cover == full:
+        if cover != full and covers[i] | cover == full:
             yield j
 
 
@@ -205,10 +206,6 @@ def _verified(g: Graph, blocks: Iterable[Iterable[int]]) -> tuple[EcCertificate,
     return cert, covers
 
 
-def _coalition_edges(covers: Sequence[int], full: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(len(covers)) for j in _partners(covers, full, i) if j > i]
-
-
 def is_ec_partition(
     g: Graph, blocks: Iterable[Iterable[int]]
 ) -> EcCertificate | EcRejection:
@@ -228,7 +225,9 @@ def coalition_graph(g: Graph, blocks: Iterable[Iterable[int]]) -> Graph:
     """Graph on the blocks of a verified ec-partition; i ~ j iff blocks i and j
     form an edge coalition."""
     cert, covers = _verified(g, blocks)
-    return Graph(cert.order, _coalition_edges(covers, g.full_edge_mask))
+    full = g.full_edge_mask
+    edges = [(i, j) for i in range(cert.order) for j in _partners(covers, full, i) if j > i]
+    return Graph(cert.order, edges)
 
 
 def coalition_partner_count(g: Graph, blocks: Iterable[Iterable[int]], i: int) -> int:
@@ -489,12 +488,10 @@ def is_self_edge_coalition_graph(g: Graph) -> bool:
     vertices, as on T(5,3,2) with 13."""
     if g.m == 0:
         raise EmptyGraph("EC is undefined for graphs without edges")
-    cert, covers = _verify(g, singleton_partition(g))
-    if not cert:
-        return False
     if g.m != g.n:
         return False  # the coalition graph has m vertices, so iso is impossible
-    return are_isomorphic(g, Graph(g.m, _coalition_edges(covers, g.full_edge_mask)))
+    blocks = singleton_partition(g)
+    return bool(is_ec_partition(g, blocks)) and are_isomorphic(g, coalition_graph(g, blocks))
 
 
 # --- bound report -----------------------------------------------------------

@@ -100,8 +100,8 @@ class Graph:
         return self._closed
 
     def _check_edge(self, e: int) -> None:
-        if not 0 <= e < self.m:
-            raise EdgeIndexOutOfRange(f"edge index {e} not in 0..{self.m - 1}")
+        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < self.m:
+            raise EdgeIndexOutOfRange(f"edge index {e!r} not in 0..{self.m - 1}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

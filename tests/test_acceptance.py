@@ -26,9 +26,9 @@ import eclab.theorems
 from eclab.coalition import ec_bounds, edge_coalition_number, singleton_partition
 from eclab.domination import gamma_prime_via_line_graph
 from eclab.errors import EclabError
-from eclab.families import K24_PARTITION_PRESETS
-from eclab.graphs import Graph, are_isomorphic
-from eclab.oracle import accepts_partition, brute_force_ec
+from eclab.families import K24_PARTITION_PRESETS, two_disjoint_edges
+from eclab.graphs import Graph, _canonical_form, are_isomorphic
+from eclab.oracle import ORACLE_EDGE_CAP, accepts_partition, brute_force_ec
 from eclab.theorems import (
     CHECKS,
     CheckResult,
@@ -53,7 +53,7 @@ _DESCRIPTIONS = {
     "bound-suite": "criterion 09: bound suite; 2*gamma'-1 refuted by exactly two spiders",
     "partner-cap": "criterion 10: certificate blocks stay within 2*Delta - 1 partners",
     "coalition-graph-theorems": "criterion 11: K_{2,4}/star ECGs; census is C5, net, (2,1,1)-triangle",
-    "oracle-equivalence": "criterion 12: solver equals brute force for every corpus graph, m <= 9",
+    "oracle-equivalence": "criterion 12: solver equals brute force on every bound-corpus graph",
     "singleton-ec-spot-checks": "criterion 13: dense spot checks and EC = m consistency",
     "gamma-prime-identity": "criterion 14: edge domination equals line-graph vertex domination",
 }
@@ -186,6 +186,16 @@ def test_criterion_11_coalition_graphs():
 
 def test_criterion_12_oracle_equivalence():
     _run("oracle-equivalence")
+
+
+def test_bound_corpus_holds_each_class_once_within_the_oracle_cap():
+    # Criteria 9, 10, 12 and 14 read this one corpus: every graph with an
+    # edge and n <= 5, trees 6 <= n <= 9 and unicyclic graphs 6 <= n <= 8.
+    corpus = eclab.theorems._bound_corpus()
+    forms = {_canonical_form(g) for g in corpus}
+    assert len(corpus) == len(forms) == 269
+    assert _canonical_form(two_disjoint_edges()) in forms
+    assert max(g.m for g in corpus) <= ORACLE_EDGE_CAP
 
 
 def test_criterion_13_spot_checks():

@@ -148,6 +148,14 @@ class TestVerify:
         assert code == 1
         assert out.strip() == "block 2 has no partner"
 
+    def test_negative_dominating_block(self, capsys):
+        # Edges 1 and 3 of P6 dominate all five edges together.
+        code, out, _ = run_cli(
+            capsys, "verify", "--family", "path:6", "--partition", "[[1,3],[0],[2],[4]]"
+        )
+        assert code == 1
+        assert out.strip() == "block 0 is a dominating set with more than one edge"
+
     def test_positive(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -169,8 +177,13 @@ class TestVerify:
                 {"valid": True, "order": 4, "blocks": [[0, 4], [1], [2], [3]]},
             ),
             ("[[0],[1],[2],[3],[4]]", 1, {"valid": False, "block": 2, "reason": "no_partner"}),
+            (
+                "[[1,3],[0],[2],[4]]",
+                1,
+                {"valid": False, "block": 0, "reason": "non_singleton_dominating"},
+            ),
         ],
-        ids=["positive", "negative"],
+        ids=["positive", "negative", "dominating"],
     )
     def test_json(self, capsys, partition, code, payload):
         assert run_cli(
@@ -425,13 +438,13 @@ THEOREMS_STDOUT = [
     "((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)): twice-gamma-minus-one=5 vs EC=4; "
     "((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (4, 8)): "
     "twice-gamma-minus-one=7 vs EC=4",
-    "PASS  partner-cap                  1627 blocks within the partner cap",
+    "PASS  partner-cap                  1571 blocks within the partner cap",
     "FAIL  coalition-graph-theorems     self-coalition census differs from the expected "
     "two-graph answer: extra hits [((0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6))], "
     "missing []",
-    "PASS  oracle-equivalence           284 graphs agree with the oracle",
+    "PASS  oracle-equivalence           269 graphs agree with the oracle",
     "PASS  singleton-ec-spot-checks     3 spot checks and 15 dense graphs consistent",
-    "PASS  gamma-prime-identity         284 graphs plus K_n/K_r,r cases agree",
+    "PASS  gamma-prime-identity         269 graphs plus K_n/K_r,r cases agree",
     "12/14 checks passed",
 ]
 

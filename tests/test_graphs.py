@@ -178,9 +178,11 @@ class TestEdgeNeighborhood:
         for e in range(g.m):
             assert edge_neighborhood(g, e).degree == g.m - 1
 
-    def test_index_out_of_range(self):
+    @pytest.mark.parametrize("e", [2, -1, True, "a", 1.0, None])
+    def test_index_out_of_range(self, e):
+        # Only a plain int in 0..m-1 names an edge: True and 1.0 are not edge 1.
         with pytest.raises(EdgeIndexOutOfRange):
-            edge_neighborhood(path_graph(3), 2)
+            edge_neighborhood(path_graph(3), e)
 
     @settings(max_examples=60)
     @given(small_graphs())
