@@ -260,11 +260,15 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
             f"isomorphism test limited to {DEFAULT_ISO_VERTEX_CAP} vertices, "
             f"got {g1.n} and {g2.n}"
         )
-    return _canonical_form(g1) == _canonical_form(g2)
+    return _canonical_form(g1)[0] == _canonical_form(g2)[0]
 
 
-def _canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """``(n, sorted relabelled edges)``: equal for two graphs iff they are isomorphic.
+def _canonical_form(
+    g: Graph,
+) -> tuple[tuple[int, tuple[tuple[int, int], ...]], set[tuple[int, ...]]]:
+    """``((n, sorted relabelled edges), automorphisms met on the way)``.
+
+    The form is equal for two graphs iff they are isomorphic.
 
     Colour refinement plus individualisation (McKay & Piperno, *Practical
     graph isomorphism II*, 2014):
@@ -285,13 +289,36 @@ def _canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
       closed neighbourhoods, swapping them is an automorphism of ``g`` that
       fixes the colouring (both lie in the chosen cell), so it maps the
       subtree under u onto the subtree under v with the same leaves.
+
+    Each automorphism is a tuple ``p`` mapping vertex v to ``p[v]``.  Two
+    kinds are recorded, and each is one:
+
+    * the transposition (u v) whenever v is skipped as the twin of a vertex
+      u already branched on, by the twin argument above;
+    * ``v -> best_inv[colors[v]]`` for every leaf ``colors`` whose edge
+      list equals the least leaf so far, where ``best_inv`` inverts the
+      labelling that reached that least leaf: both labellings map ``g``
+      onto the same edge list, so one after the other's inverse maps ``g``
+      onto itself.
+
+    Together they generate the whole automorphism group.  For an
+    automorphism σ and the labelling c of the final least leaf, c∘σ is a
+    leaf of the unpruned tree with the same edge list.  Walk down to it:
+    where the walk enters a skipped twin v of u, (u v) fixes every vertex
+    individualised so far, so replacing the leaf by its composition with
+    (u v) keeps the edge list and moves the walk into u's subtree.  The
+    walk ends at a visited leaf c∘σ∘τ, τ a product of recorded
+    transpositions, whose recorded automorphism is σ∘τ (the identity when
+    that leaf is c itself).
     """
     n, adj = g.n, g._adj
     nbrs = [sum(1 << u for u in adj[v]) for v in range(n)]
     best = None
+    best_inv: list[int] = []  # best_inv[c]: the vertex the least leaf numbers c
+    automorphisms: set[tuple[int, ...]] = set()
 
     def search(colors: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_inv
         while True:  # refine to a stable colouring
             sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
             rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
@@ -305,18 +332,31 @@ def _canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
         open_cells = [cell for cell in cells.values() if len(cell) > 1]
         if not open_cells:
             leaf = tuple(sorted(tuple(sorted((colors[u], colors[v]))) for u, v in g.edges))
-            best = leaf if best is None else min(best, leaf)
+            if best is None or leaf < best:
+                best = leaf
+                best_inv = [0] * n
+                for v, c in enumerate(colors):
+                    best_inv[c] = v
+            elif leaf == best:
+                automorphisms.add(tuple(best_inv[c] for c in colors))
             return
         cell = min(open_cells, key=lambda c: (len(c), colors[c[0]]))
-        tried: set[int] = set()  # an open mask never equals a closed one: v is not in N(v)
+        # The open and the closed neighbourhood mask of each vertex branched
+        # on, to that vertex; an open mask never equals a closed one: v is
+        # not in N(v).
+        tried: dict[int, int] = {}
         for v in cell:
-            twins = (nbrs[v], nbrs[v] | 1 << v)
-            if tried.isdisjoint(twins):
-                tried.update(twins)
+            u = tried.get(nbrs[v], tried.get(nbrs[v] | 1 << v))
+            if u is None:
+                tried[nbrs[v]] = tried[nbrs[v] | 1 << v] = v
                 search([2 * c + (w != v) for w, c in enumerate(colors)])
+            else:
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                automorphisms.add(tuple(swap))
 
     search([0] * n)
-    return n, best
+    return (n, best), automorphisms
 
 
 # --- edge-list text format ------------------------------------------------

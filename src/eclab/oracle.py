@@ -195,6 +195,15 @@ def graphs_of_order(cls: str, n: int) -> tuple[Graph, ...]:
     n-1 joined to each neighbour set the class admits (the bare cycle C_n
     comes first for the unicyclic class), streamed into the dedup, which
     keeps the first candidate of each isomorphism class.
+
+    A parent's neighbour set is skipped when an automorphism of the parent
+    maps it onto an earlier one (canonical augmentation in the spirit of
+    McKay, *Isomorph-free exhaustive generation*, J. Algorithms 26, 1998).
+    That leaves every representative and their order unchanged: if σ is an
+    automorphism of the parent g with σ(S) = T, then σ extended by n-1 ->
+    n-1 maps g + S onto g + T, so the child of the skipped set T is
+    isomorphic to the earlier child of S.  The dedup meets that class first
+    at S or before and keeps that candidate, never the one from T.
     """
     if cls not in _CLASSES:
         raise InvalidSpec(f"unknown corpus class {cls!r}")
@@ -209,10 +218,27 @@ def graphs_of_order(cls: str, n: int) -> tuple[Graph, ...]:
 
 
 def _augmentations(cls: str, n: int, masks: Sequence[int]) -> Iterator[Graph]:
+    """Each parent of order n-1 joined to one neighbour set per orbit of its
+    automorphisms, the orbit's first set in ``masks`` order."""
     if cls == "unicyclic":
         yield Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
     for g in graphs_of_order(cls, n - 1):
+        # Bit images under each automorphism the canonical search met; they
+        # generate the parent's whole group, so a set is seen iff it lies in
+        # the orbit of a set already yielded.
+        images = [[1 << p[v] for v in range(n - 1)] for p in _canonical_form(g)[1]]
+        seen: set[int] = set()
         for mask in masks:
+            if mask in seen:
+                continue
+            seen.add(mask)
+            orbit = [mask]
+            for x in orbit:  # breadth-first closure under the generators
+                for bits in images:
+                    y = sum(bit for v, bit in enumerate(bits) if x >> v & 1)
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
             yield Graph(n, list(g.edges) + [(v, n - 1) for v in range(n - 1) if mask >> v & 1])
 
 
@@ -220,5 +246,5 @@ def _dedup(candidates: Iterable[Graph]) -> tuple[Graph, ...]:
     """The first candidate of each isomorphism class, in candidate order."""
     kept: dict[tuple, Graph] = {}
     for g in candidates:
-        kept.setdefault(_canonical_form(g), g)
+        kept.setdefault(_canonical_form(g)[0], g)
     return tuple(kept.values())

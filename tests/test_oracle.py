@@ -8,6 +8,7 @@ frozen.
 """
 
 import ast
+import hashlib
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -19,9 +20,11 @@ from eclab.coalition import edge_coalition_number, is_ec_partition, validate_par
 from eclab.errors import BudgetExceeded, InvalidSpec, TooManyEdges
 from eclab.families import cycle_graph, diamond_graph, path_graph, star_graph
 from eclab.graphs import Graph, are_isomorphic
+import eclab.graphs
 import eclab.oracle
 from eclab.oracle import (
     CorpusSpec,
+    _augmentations,
     _set_partitions,
     accepts_partition,
     brute_force_ec,
@@ -30,7 +33,7 @@ from eclab.oracle import (
     graphs_of_order,
 )
 
-from test_graphs import small_graphs
+from test_graphs import _relabeled, small_graphs
 
 
 # --- independent enumerator helpers ----------------------------------------
@@ -72,6 +75,40 @@ def _connected(g: Graph) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == g.n
+
+
+def _brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation that maps the edge set onto itself."""
+    edges = {frozenset(e) for e in g.edges}
+    return [
+        p for p in permutations(range(g.n))
+        if all(frozenset((p[u], p[v])) in edges for u, v in g.edges)
+    ]
+
+
+def _image(mask: int, p) -> int:
+    return sum(1 << p[v] for v in range(len(p)) if mask >> v & 1)
+
+
+def _orbits(n: int, generators) -> set[frozenset[int]]:
+    """Orbits on the vertex subsets of range(n) (as bit masks) of the group
+    the permutations generate, by closing each subset under them."""
+    orbits, placed = set(), set()
+    for mask in range(1 << n):
+        if mask in placed:
+            continue
+        orbit = {mask}
+        frontier = [mask]
+        while frontier:
+            x = frontier.pop()
+            for p in generators:
+                y = _image(x, p)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        placed |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
 
 
 def _prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
@@ -235,6 +272,51 @@ class TestCorpusCounts:
         for i in range(len(graphs)):
             for j in range(i + 1, len(graphs)):
                 assert not are_isomorphic(graphs[i], graphs[j])
+
+
+class TestOrbitPruning:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_search_automorphisms_generate_the_group(self, n):
+        # Each recorded permutation is an automorphism, and together they
+        # have the orbits of the whole group on vertex subsets.
+        for index, g in enumerate(graphs_of_order("all", n)):
+            for h in (g, _relabeled(g, index)):
+                found = eclab.graphs._canonical_form(h)[1]
+                edges = {frozenset(e) for e in h.edges}
+                for p in found:
+                    assert sorted(p) == list(range(n)), (h.edges, p)
+                    assert {frozenset((p[u], p[v])) for u, v in h.edges} == edges, (h.edges, p)
+                assert _orbits(n, found) == _orbits(n, _brute_automorphisms(h)), h.edges
+
+    def test_one_candidate_per_orbit_of_neighbour_sets(self):
+        # Connected order 6: one candidate per Aut-orbit of nonempty
+        # neighbour sets over each of the 21 order-5 parents.
+        parents = graphs_of_order("connected", 5)
+        assert len(parents) == 21
+        expected = sum(
+            len({min(_image(mask, p) for p in _brute_automorphisms(g)) for mask in range(1, 32)})
+            for g in parents
+        )
+        candidates = list(_augmentations("connected", 6, range(1, 32)))
+        assert len(candidates) == expected
+        assert len(candidates) < 21 * 31
+
+    @pytest.mark.parametrize(
+        "cls,n,digest",
+        [
+            ("all", 6, "d1f225a917d2b079d34c6e4b2488e96febb662b9f3304c4b300293eec10af168"),
+            ("connected", 7, "0b8f0e40e999056e0ef1085e489735d66caf28130afae9aa45ca1700bc085849"),
+            ("trees", 10, "32de40af8568db8d0c4abf6817f4644ac4803a1d646389af2df128ca11e0960b"),
+            ("unicyclic", 9, "233a40fb41ebb1078088bf19bcf15c83438858b3b4fd5a440b6ff782095aa693"),
+        ],
+        ids=["all-6", "connected-7", "trees-10", "unicyclic-9"],
+    )
+    def test_representatives_pinned(self, cls, n, digest):
+        # The counts and the corpus-sweep histogram are isomorphism
+        # invariants; this pins which graph represents each class, in order,
+        # as enumerated before orbit pruning.
+        listing = repr([(g.n, g.edges) for g in graphs_of_order(cls, n)])
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
 
 def _all_sequences(length: int, n: int):
