@@ -6,9 +6,10 @@ Verbs: ``ec``, ``gamma``, ``verify``, ``ecg``, ``bounds``, ``generate``,
 from exactly one of ``--partition`` JSON or a ``--partition-id`` preset,
 and the verifier alone checks them.  Exit codes: 0 success, 1 negative
 verification (or failed theorem checks), 2 usage error (bad input, an
-unreadable input or an unwritable output), 3 budget exceeded, 141 (128 +
-SIGPIPE) when the reader of stdout hung up.  ``ECLAB_MAX_EDGES`` in the
-environment overrides the exact-mode edge cap.
+``ec`` flag of the other mode, an unreadable input or an unwritable
+output), 3 budget exceeded, 141 (128 + SIGPIPE) when the reader of stdout
+hung up.  ``ECLAB_MAX_EDGES`` in the environment overrides the exact-mode
+edge cap.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import theorems
 from .coalition import (
     DEFAULT_EXACT_EDGE_CAP,
     FullEdgeSingleton,
+    _check_edge_cap,
     certificate_json,
     coalition_graph,
     ec_bounds,
@@ -35,7 +37,7 @@ from .coalition import (
 )
 from .domination import edge_domination_number
 from .errors import BudgetExceeded, EclabError, NotAnEcPartition
-from .families import K24_PARTITION_PRESETS, FamilySpec, complete_bipartite, generate
+from .families import K24_PARTITION_PRESETS, FamilySpec, _edge_count, complete_bipartite, generate
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .oracle import CorpusSpec, export_corpus
 
@@ -131,10 +133,17 @@ def _graph_as_dot(g: Graph, names: list[str]) -> str:
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
+    if args.lower_bound and args.max_edges is not None:
+        raise EclabError("--max-edges applies to exact mode only, not with --lower-bound")
+    if not args.lower_bound and args.time_budget is not None:
+        raise EclabError("--time-budget applies only with --lower-bound")
+    if args.family and not args.lower_bound:  # refuse from the spec, before building the graph
+        _check_edge_cap(_edge_count(FamilySpec.parse(args.family)), _edge_cap(args))
     g = _load_graph(args)
     cap = _edge_cap(args)  # read in both modes: a malformed ECLAB_MAX_EDGES is a usage error
     if args.lower_bound:
-        result = edge_coalition_lower_bound(g, time_budget=args.time_budget)
+        budget = 30.0 if args.time_budget is None else args.time_budget
+        result = edge_coalition_lower_bound(g, time_budget=budget)
     else:
         result = edge_coalition_number(g, max_edges=cap)
     if args.format == "json":
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report the best certificate found within --time-budget instead of the exact value",
     )
-    p.add_argument("--time-budget", type=_seconds, default=30.0, help="seconds for --lower-bound")
+    p.add_argument("--time-budget", type=_seconds, help="seconds for --lower-bound (default 30)")
     p.set_defaults(func=_cmd_ec)
 
     p = sub.add_parser("gamma", help="compute the edge domination number")

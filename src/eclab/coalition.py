@@ -74,9 +74,6 @@ class EcCertificate:
     def order(self) -> int:
         return len(self.blocks)
 
-    def __bool__(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class EcRejection:
@@ -144,9 +141,7 @@ def validate_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> Blocks:
 
 def singleton_partition(g: Graph) -> Blocks:
     """The partition of the edge set into one-edge blocks, in index order."""
-    if g.m == 0:
-        raise InvalidPartition("a graph with no edges has no edge partitions")
-    return tuple(frozenset((e,)) for e in range(g.m))
+    return validate_partition(g, ((e,) for e in range(g.m)))
 
 
 def forms_edge_coalition(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
@@ -159,10 +154,7 @@ def forms_edge_coalition(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     if sa & sb:
         return False
     masks = g.closed_edge_masks()
-    full = g.full_edge_mask
-    ca = _cover_mask(masks, sa)
-    cb = _cover_mask(masks, sb)
-    return ca != full and cb != full and (ca | cb) == full
+    return 1 in _partners([_cover_mask(masks, sa), _cover_mask(masks, sb)], g.full_edge_mask, 0)
 
 
 def _partners(covers: Sequence[int], full: int, i: int) -> Iterator[int]:
@@ -234,8 +226,8 @@ def coalition_partner_count(g: Graph, blocks: Iterable[Iterable[int]], i: int) -
     """Number of blocks forming an edge coalition with block ``i``
     (its degree in the coalition graph)."""
     cert, covers = _verified(g, blocks)
-    if not 0 <= i < cert.order:
-        raise BlockIndexOutOfRange(f"block index {i} not in 0..{cert.order - 1}")
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < cert.order:
+        raise BlockIndexOutOfRange(f"block index {i!r} not in 0..{cert.order - 1}")
     return sum(1 for _ in _partners(covers, g.full_edge_mask, i))
 
 
@@ -326,19 +318,6 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     return list(labels) if rec(0) else None
 
 
-def _certified(g: Graph, labels: Sequence[int], k: int) -> EcCertificate:
-    """Certificate of a solver labeling; raises when the verifier rejects it."""
-    blocks: list[list[int]] = [[] for _ in range(k)]
-    for e, b in enumerate(labels):
-        blocks[b].append(e)
-    cert = is_ec_partition(g, blocks)
-    if not cert:
-        raise NotAnEcPartition(
-            f"solver produced a partition its own verifier rejects: {cert.message()}"
-        )
-    return cert
-
-
 def _degree_bound(closed: Sequence[int]) -> int:
     """``(P + 2)**2 // 4`` with P the largest popcount of a closed mask: an
     upper bound on EC.
@@ -388,7 +367,8 @@ def _largest_order(g: Graph, deadline: float = math.inf):
     larger order can be filled.  Each order gets ``max(remaining / k, 0.05)``
     seconds, capped at the deadline; one that times out is skipped downward,
     and none starts past the deadline.  The default deadline is infinite, so
-    every order runs to the end and k is the maximum.
+    every order runs to the end and k is the maximum.  :func:`_verified`, the
+    users' verifier, certifies the labeling found or raises its rejection.
     """
     top = min(g.m, _degree_bound(g.closed_edge_masks()))
     for k in range(top, 0, -1):
@@ -402,8 +382,28 @@ def _largest_order(g: Graph, deadline: float = math.inf):
         except _SearchTimeout:
             continue
         if labels is not None:
-            return k, _certified(g, labels, k), top
+            blocks: list[list[int]] = [[] for _ in range(k)]
+            for e, b in enumerate(labels):
+                blocks[b].append(e)
+            return k, _verified(g, blocks)[0], top
     return None
+
+
+def _require_edges(g: Graph) -> None:
+    """Refuse a graph without edges, on which EC is undefined."""
+    if g.m == 0:
+        raise EmptyGraph("EC is undefined for graphs without edges")
+
+
+def _check_edge_cap(m: int, max_edges: int) -> None:
+    """Refuse an exact solve of ``m`` edges above ``max_edges``; the CLI calls
+    it on a family spec's edge count before it builds the graph."""
+    if m > max_edges:
+        raise BudgetExceeded(
+            f"graph has m={m} edges, above the exact-mode cap {max_edges}; "
+            "raise the cap (--max-edges or ECLAB_MAX_EDGES) "
+            "or use lower-bound mode (--lower-bound)"
+        )
 
 
 def edge_coalition_number(
@@ -417,18 +417,13 @@ def edge_coalition_number(
     min(m, ⌊(Δ(L)+3)²/4⌋), above which no order is feasible, and returns
     at the first feasible order, so the result is the maximum.  Raises
     :class:`EmptyGraph` when m = 0 and :class:`BudgetExceeded` when m
-    exceeds ``max_edges`` (enumeration grows like the Bell numbers); this
-    is the one place that refuses an exact solve, the CLI included.
+    exceeds ``max_edges`` (enumeration grows like the Bell numbers); the
+    cap test is :func:`_check_edge_cap`, which the CLI also applies to a
+    family spec before building its graph.
     """
     m = g.m
-    if m == 0:
-        raise EmptyGraph("EC is undefined for graphs without edges")
-    if m > max_edges:
-        raise BudgetExceeded(
-            f"graph has m={m} edges, above the exact-mode cap {max_edges}; "
-            "raise the cap (--max-edges or ECLAB_MAX_EDGES) "
-            "or use lower-bound mode (--lower-bound)"
-        )
+    _require_edges(g)
+    _check_edge_cap(m, max_edges)
     found = _largest_order(g)
     if found is None:
         raise NotAnEcPartition("no ec-partition found; this contradicts the existence guarantee")
@@ -462,8 +457,7 @@ def edge_coalition_lower_bound(
     if not math.isfinite(time_budget):
         raise EclabError(f"time_budget must be a finite number of seconds, got {time_budget!r}")
     m = g.m
-    if m == 0:
-        raise EmptyGraph("EC is undefined for graphs without edges")
+    _require_edges(g)
     found = _largest_order(g, time.monotonic() + time_budget)
     if found is None:
         raise BudgetExceeded(f"no ec-partition found within {time_budget:g}s for m={m}")
@@ -476,8 +470,7 @@ def edge_coalition_lower_bound(
 
 def is_singleton_ec_graph(g: Graph) -> bool:
     """True iff the singleton partition is an ec-partition (equivalently EC = m)."""
-    if g.m == 0:
-        raise EmptyGraph("EC is undefined for graphs without edges")
+    _require_edges(g)
     return bool(is_ec_partition(g, singleton_partition(g)))
 
 
@@ -486,12 +479,10 @@ def is_self_edge_coalition_graph(g: Graph) -> bool:
     partition (which must itself be an ec-partition).  Raises
     :class:`SizeLimitExceeded` when it must compare graphs on more than 12
     vertices, as on T(5,3,2) with 13."""
-    if g.m == 0:
-        raise EmptyGraph("EC is undefined for graphs without edges")
+    _require_edges(g)
     if g.m != g.n:
         return False  # the coalition graph has m vertices, so iso is impossible
-    blocks = singleton_partition(g)
-    return bool(is_ec_partition(g, blocks)) and are_isomorphic(g, coalition_graph(g, blocks))
+    return is_singleton_ec_graph(g) and are_isomorphic(g, coalition_graph(g, singleton_partition(g)))
 
 
 # --- bound report -----------------------------------------------------------
@@ -518,8 +509,7 @@ def ec_bounds(g: Graph) -> BoundReport:
 
     Inapplicable bounds are reported with a reason rather than dropped.
     """
-    if g.m == 0:
-        raise EmptyGraph("EC is undefined for graphs without edges")
+    _require_edges(g)
     m = g.m
     n = g.n
     degrees = [g.degree(v) for v in range(n)]

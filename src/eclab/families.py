@@ -39,6 +39,8 @@ class FamilySpec:
         if self.kind not in _CLI_NAMES:
             raise InvalidSpec(f"unknown family kind {self.kind!r}")
         p = self.params
+        if not isinstance(p, tuple) or any(isinstance(x, bool) or not isinstance(x, int) for x in p):
+            raise InvalidSpec(f"family parameters must be a tuple of integers, got {p!r}")
         ok = {
             "path": len(p) == 1 and p[0] >= 2,
             "cycle": len(p) == 1 and p[0] >= 3,
@@ -99,6 +101,20 @@ def generate(spec: FamilySpec) -> Graph:
         n = r + s
         pairs = [(a, b) for a in range(r) for b in range(r, r + s)]
     return Graph(n, sorted(pairs))
+
+
+def _edge_count(spec: FamilySpec) -> int:
+    """``generate(spec).m``, read from the parameters without building the graph."""
+    kind, p = spec.kind, spec.params
+    if kind == "path":
+        return p[0] - 1
+    if kind in ("cycle", "star"):
+        return p[0]
+    if kind == "double_star":
+        return p[0] + p[1] + 1
+    if kind == "complete":
+        return p[0] * (p[0] - 1) // 2
+    return p[0] * p[1]  # complete_bipartite
 
 
 def path_graph(n: int) -> Graph:

@@ -72,12 +72,6 @@ def _ec(g: Graph) -> int:
 
 
 @lru_cache(maxsize=None)
-def _connected_corpus() -> tuple[Graph, ...]:
-    graphs = [g for g in enumerate_corpus(CorpusSpec(5, ("connected",))) if g.m >= 1]
-    return tuple(graphs)
-
-
-@lru_cache(maxsize=None)
 def _bound_corpus() -> tuple[Graph, ...]:
     """Each class once: every graph with an edge and n<=5, then trees with
     6<=n<=9 and unicyclic graphs with 6<=n<=8.  Its largest m is K5's 10."""
@@ -85,6 +79,11 @@ def _bound_corpus() -> tuple[Graph, ...]:
     graphs += [g for g in enumerate_corpus(CorpusSpec(9, ("trees",))) if g.n >= 6]
     graphs += [g for g in enumerate_corpus(CorpusSpec(8, ("unicyclic",))) if g.n >= 6]
     return tuple(graphs)
+
+
+def _connected_corpus() -> tuple[Graph, ...]:
+    """The connected graphs with an edge and n<=5, read from the bound corpus."""
+    return tuple(g for g in _bound_corpus() if g.n <= 5 and _is_connected(g))
 
 
 def _closed_form_mismatch(specs: Iterable[FamilySpec]) -> str | None:

@@ -28,7 +28,7 @@ from eclab.domination import gamma_prime_via_line_graph
 from eclab.errors import EclabError
 from eclab.families import K24_PARTITION_PRESETS, two_disjoint_edges
 from eclab.graphs import Graph, _canonical_form, are_isomorphic
-from eclab.oracle import ORACLE_EDGE_CAP, accepts_partition, brute_force_ec
+from eclab.oracle import ORACLE_EDGE_CAP, CorpusSpec, accepts_partition, brute_force_ec, enumerate_corpus
 from eclab.theorems import (
     CHECKS,
     CheckResult,
@@ -196,6 +196,17 @@ def test_bound_corpus_holds_each_class_once_within_the_oracle_cap():
     assert len(corpus) == len(forms) == 269
     assert _canonical_form(two_disjoint_edges())[0] in forms
     assert max(g.m for g in corpus) <= ORACLE_EDGE_CAP
+
+
+def test_small_connected_corpus_is_read_from_the_bound_corpus():
+    # Criteria 6 and 13 take the connected classes with n <= 5 from the bound
+    # corpus, the same graph objects, so the solver meets each class once.
+    bound = {id(g) for g in eclab.theorems._bound_corpus()}
+    connected = eclab.theorems._connected_corpus()
+    assert all(id(g) in bound for g in connected)
+    enumerated = [g for g in enumerate_corpus(CorpusSpec(5, ("connected",))) if g.m >= 1]
+    assert len(connected) == len(enumerated) == 30
+    assert {_canonical_form(g)[0] for g in connected} == {_canonical_form(g)[0] for g in enumerated}
 
 
 def test_criterion_13_spot_checks():

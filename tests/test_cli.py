@@ -4,6 +4,7 @@ import ast
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -64,11 +65,28 @@ class TestEc:
         code, out, _ = run_cli(capsys, "ec", "--family", "path:6", "--format", "json")
         assert code == 0 and json.loads(out)["ec"] == 4
 
-    def test_malformed_env_cap_is_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("mode", [[], ["--lower-bound"]], ids=["exact", "lower"])
+    def test_malformed_env_cap_is_usage_error(self, capsys, monkeypatch, mode):
         monkeypatch.setenv("ECLAB_MAX_EDGES", "abc")
-        code, out, err = run_cli(capsys, "ec", "--family", "path:4")
+        code, out, err = run_cli(capsys, "ec", "--family", "path:4", *mode)
         assert (code, out) == (2, "")
         assert err == "error: ECLAB_MAX_EDGES must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_over_cap_family_refused_before_the_graph_is_built(self, capsys, n):
+        # P1000000 used to cost 432 MiB and 3 s of graph building before exit 3.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "ec", "--family", f"path:{n}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: graph has m={n - 1} edges, above the exact-mode cap 16; raise the cap "
+            "(--max-edges or ECLAB_MAX_EDGES) or use lower-bound mode (--lower-bound)\n"
+        )
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_lower_bound_mode(self, capsys):
         code, out, _ = run_cli(
@@ -319,6 +337,14 @@ class TestInputBoundary:
             (
                 ["ec", "--family", "path:4", "--lower-bound", "--time-budget", "abc"],
                 "argument --time-budget: must be a finite number of seconds, got 'abc'",
+            ),
+            (
+                ["ec", "--family", "path:6", "--time-budget", "5"],
+                "error: --time-budget applies only with --lower-bound\n",
+            ),
+            (
+                ["ec", "--family", "path:6", "--lower-bound", "--max-edges", "20"],
+                "error: --max-edges applies to exact mode only, not with --lower-bound\n",
             ),
         ],
     )

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import time
 
 import pytest
@@ -542,9 +543,11 @@ class TestPartnerCount:
         blocks = singleton_partition(g)
         assert all(coalition_partner_count(g, blocks, i) == 0 for i in range(4))
 
-    def test_block_index_out_of_range(self):
-        with pytest.raises(BlockIndexOutOfRange):
-            coalition_partner_count(P6, P6_PARTITION, 4)
+    @pytest.mark.parametrize("i", [4, True, 1.0, "a", None])
+    def test_block_index_out_of_range(self, i):
+        # True would answer for block 1; 1.0, "a" and None would raise a bare TypeError.
+        with pytest.raises(BlockIndexOutOfRange, match=re.escape(f"block index {i!r} not in")):
+            coalition_partner_count(P6, P6_PARTITION, i)
 
     def test_equals_coalition_graph_degree_on_solver_certificates(self):
         checked = 0

@@ -8,6 +8,7 @@ from eclab.errors import InvalidSpec, NotATree, NotUnicyclic
 from eclab.families import (
     FamilySpec,
     SmallEcClass,
+    _edge_count,
     bowtie_graph,
     closed_form_ec,
     complete_bipartite,
@@ -48,6 +49,27 @@ class TestSpecsAndGenerators:
     def test_unknown_kind_refused_by_the_constructor(self):
         with pytest.raises(InvalidSpec, match="unknown family kind 'widget'"):
             FamilySpec("widget", (1,))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("path", (6.0,)), ("star", (True,)), ("cycle", ("5",)), ("complete", (None,)),
+         ("complete_bipartite", (2, False)), ("double_star", (3, 2.0)), ("path", 6), ("path", [6])],
+    )
+    def test_constructor_refuses_params_that_are_not_ints(self, kind, params):
+        with pytest.raises(InvalidSpec, match="family parameters must be a tuple of integers"):
+            FamilySpec(kind, params)
+
+    def test_edge_count_equals_generated_size(self):
+        specs = (
+            [FamilySpec("path", (n,)) for n in range(2, 30)]
+            + [FamilySpec("cycle", (n,)) for n in range(3, 30)]
+            + [FamilySpec("star", (s,)) for s in range(1, 30)]
+            + [FamilySpec("double_star", (p, q)) for p in range(12) for q in range(p + 1)]
+            + [FamilySpec("complete", (n,)) for n in range(2, 16)]
+            + [FamilySpec("complete_bipartite", (r, s)) for r in range(1, 10) for s in range(1, 10)]
+        )
+        for spec in specs:
+            assert _edge_count(spec) == generate(spec).m, spec
 
     def test_parse_accepts_kind_or_short_name_in_any_case(self):
         for text in ("double_star:3,2", "DSTAR:3,2", "Double_Star:3,2"):
