@@ -3,15 +3,9 @@
 Run with:  python3 demos/03_coalition_graphs.py
 """
 
-from eclab import (
-    coalition_graph,
-    coalition_partner_count,
-    is_self_edge_coalition_graph,
-    singleton_partition,
-)
+from eclab import coalition_graph, coalition_partner_count, singleton_partition
 from eclab.families import K24_PARTITION_PRESETS, complete_bipartite, star_graph
-from eclab.graphs import are_isomorphic, Graph
-from eclab.oracle import CorpusSpec, enumerate_corpus
+from eclab.theorems import self_coalition_census
 
 k24 = complete_bipartite(2, 4)
 print("Coalition graphs of K_{2,4} under its built-in partitions:")
@@ -30,11 +24,11 @@ for leaves in range(2, 7):
     print(f"  star with {leaves} leaves -> {ecg.n} isolated vertices, partner counts {counts}")
 print()
 
-print("Graphs isomorphic to their own singleton coalition graph (n <= 7):")
-for g in enumerate_corpus(CorpusSpec(7, ("unicyclic",))):
-    if is_self_edge_coalition_graph(g):
-        degrees = sorted((g.degree(v) for v in range(g.n)), reverse=True)
-        print(f"  n={g.n}: edges {g.edges} (degree sequence {degrees})")
+print("Unicyclic graphs isomorphic to their own singleton coalition graph (n <= 7),")
+print("the census the reproduction suite checks:")
+for g in self_coalition_census():
+    degrees = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    print(f"  n={g.n}: edges {g.edges} (degree sequence {degrees})")
 print()
 print("Note the third hit: triangles carrying at least one pendant leaf at")
 print("every vertex always reproduce themselves, because each leaf block's")

@@ -3,28 +3,13 @@
 Run with:  python3 demos/04_characterizations_and_bounds.py
 """
 
-from eclab import ec_bounds, edge_coalition_number
-from eclab.families import phi_recognizer, theta_recognizer
+from eclab import ec_bounds, edge_coalition_number, theorems
 from eclab.graphs import Graph
-from eclab.oracle import CorpusSpec, enumerate_corpus
 
-print("Trees whose coalition number reaches the size (n <= 8):")
-agree = total = 0
-for t in enumerate_corpus(CorpusSpec(8, ("trees",))):
-    if t.m < 1:
-        continue
-    total += 1
-    predicted = phi_recognizer(t)
-    actual = edge_coalition_number(t).ec == t.m
-    agree += predicted == actual
-print(f"  recognizer matches the solver on {agree}/{total} trees")
-
-print("Unicyclic graphs whose coalition number reaches the size (n <= 7):")
-agree = total = 0
-for g in enumerate_corpus(CorpusSpec(7, ("unicyclic",))):
-    total += 1
-    agree += theta_recognizer(g) == (edge_coalition_number(g).ec == g.m)
-print(f"  recognizer matches the solver on {agree}/{total} unicyclic graphs")
+print("Trees (n <= 9) and unicyclic graphs (n <= 8) whose coalition number")
+print("reaches the size, against the recognizers, as the reproduction suite checks:")
+for result in theorems.run_all(("trees-phi", "unicyclic-theta")):
+    print(f"  {'PASS' if result.passed else 'FAIL'}  {result.tag}: {result.detail}")
 print()
 
 

@@ -35,7 +35,7 @@ from .errors import (
     InvalidPartition,
     NotAnEcPartition,
 )
-from .graphs import Graph, _bfs_distances, are_isomorphic, is_full_edge
+from .graphs import Graph, _bfs_distances, _is_index, are_isomorphic, is_full_edge
 
 DEFAULT_EXACT_EDGE_CAP = 16
 
@@ -127,7 +127,7 @@ def validate_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> Blocks:
         if not block:
             raise InvalidPartition(f"block {i} is empty")
         for e in block:
-            if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < g.m:
+            if not _is_index(e, g.m):
                 raise InvalidPartition(f"block {i} references nonexistent edge {e!r}")
             bit = 1 << e
             if seen & bit:
@@ -226,7 +226,7 @@ def coalition_partner_count(g: Graph, blocks: Iterable[Iterable[int]], i: int) -
     """Number of blocks forming an edge coalition with block ``i``
     (its degree in the coalition graph)."""
     cert, covers = _verified(g, blocks)
-    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < cert.order:
+    if not _is_index(i, cert.order):
         raise BlockIndexOutOfRange(f"block index {i!r} not in 0..{cert.order - 1}")
     return sum(1 for _ in _partners(covers, g.full_edge_mask, i))
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GraphMismatch
-from .graphs import Graph, line_graph
+from .graphs import Graph, _is_index, line_graph
 
 
 def check_edge_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
@@ -24,7 +24,7 @@ def check_edge_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
     except TypeError as exc:
         raise GraphMismatch(f"an edge set must be a collection of edge indices: {exc}") from exc
     for e in s:
-        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < g.m:
+        if not _is_index(e, g.m):
             raise GraphMismatch(f"edge index {e!r} does not exist in a graph with m={g.m}")
     return s
 

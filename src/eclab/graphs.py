@@ -32,6 +32,11 @@ from .errors import (
 DEFAULT_ISO_VERTEX_CAP = 12
 
 
+def _is_index(x: object, size: float) -> bool:
+    """True iff ``x`` is an int, not a bool, with 0 <= x < size."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < size
+
+
 class Graph:
     """Immutable undirected simple graph.
 
@@ -45,13 +50,13 @@ class Graph:
     __slots__ = ("n", "edges", "_adj", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise OutOfRangeVertex(f"vertex count must be nonnegative, got {n}")
+        if not _is_index(n, float("inf")):
+            raise OutOfRangeVertex(f"vertex count must be a nonnegative int, got {n!r}")
         pairs: dict[tuple[int, int], None] = {}  # insertion-ordered edge set
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise OutOfRangeVertex(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+            if not (_is_index(u, n) and _is_index(v, n)):
+                raise OutOfRangeVertex(f"edge ({u!r}, {v!r}) needs int endpoints in 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             pair = (u, v) if u < v else (v, u)
@@ -100,7 +105,7 @@ class Graph:
         return self._closed
 
     def _check_edge(self, e: int) -> None:
-        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < self.m:
+        if not _is_index(e, self.m):
             raise EdgeIndexOutOfRange(f"edge index {e!r} not in 0..{self.m - 1}")
 
     def __eq__(self, other: object) -> bool:

@@ -205,11 +205,8 @@ def graphs_of_order(cls: str, n: int) -> tuple[Graph, ...]:
     isomorphic to the earlier child of S.  The dedup meets that class first
     at S or before and keeps that candidate, never the one from T.
     """
-    if cls not in _CLASSES:
-        raise InvalidSpec(f"unknown corpus class {cls!r}")
-    first, cap, neighbor_masks = _CLASSES[cls]
-    if n > cap:
-        raise BudgetExceeded(f"class {cls!r} is capped at {cap} vertices")
+    CorpusSpec(n, (cls,))  # refuses an unknown class or an order over its cap
+    first, _, neighbor_masks = _CLASSES[cls]
     if n < first:
         return ()
     if n == 1:

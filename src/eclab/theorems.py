@@ -1,10 +1,10 @@
 """Reproduction suite: closed forms, bounds, and characterizations at desk scale.
 
-Each check is exact (integer equality, no tolerances) and runs over
-exhaustively enumerated corpora of small graphs.  ``run_all`` yields one
-:class:`CheckResult` per check and prints nothing; the CLI verb
-``theorems`` prints one pass/fail line per result and exits nonzero when
-anything fails.
+Each check is exact (integer equality, no tolerances).  The corpus checks
+read one corpus, ``_bound_corpus`` (each isomorphism class once), and
+filter it by shape.  ``run_all`` yields one :class:`CheckResult` per check
+and prints nothing; the CLI verb ``theorems`` prints one pass/fail line
+per result and exits nonzero when anything fails.
 
 Two checks report FAIL because the claims they test are false, not because
 of a bug (the independent brute-force oracle confirms both; see the
@@ -171,11 +171,10 @@ def _check_small_ec() -> tuple[bool, str]:
     return True, f"{len(corpus)} graphs classified consistently"
 
 
-def _recognizer_sweep(
-    n: int, cls: str, recognizer: Callable[[Graph], bool], agree: str
-) -> tuple[bool, str]:
-    """EC = m iff ``recognizer`` accepts, over class ``cls`` up to ``n`` vertices."""
-    graphs = [g for g in enumerate_corpus(CorpusSpec(n, (cls,))) if g.m >= 1]
+def _recognizer_sweep(excess: int, recognizer: Callable[[Graph], bool], agree: str) -> tuple[bool, str]:
+    """EC = m iff ``recognizer`` accepts, over the connected bound-corpus graphs
+    with m = n + excess: every tree up to n=9 at -1, unicyclic graph up to n=8 at 0."""
+    graphs = [g for g in _bound_corpus() if g.m == g.n + excess and _is_connected(g)]
     for g in graphs:
         if (_ec(g) == g.m) != recognizer(g):
             return False, f"counterexample: {g.edges}"
@@ -184,12 +183,12 @@ def _recognizer_sweep(
 
 def _check_trees() -> tuple[bool, str]:
     """For every tree up to 9 vertices: EC(T) = n-1 iff the recognizer accepts."""
-    return _recognizer_sweep(9, "trees", phi_recognizer, "trees agree with the recognizer")
+    return _recognizer_sweep(-1, phi_recognizer, "trees agree with the recognizer")
 
 
 def _check_unicyclic() -> tuple[bool, str]:
     """For every unicyclic graph up to 8 vertices: EC(G) = n iff the recognizer accepts."""
-    return _recognizer_sweep(8, "unicyclic", theta_recognizer, "unicyclic graphs agree")
+    return _recognizer_sweep(0, theta_recognizer, "unicyclic graphs agree")
 
 
 @dataclass(frozen=True)
@@ -298,9 +297,9 @@ def star_ecg_mismatches() -> tuple[int, ...]:
 
 def self_coalition_census() -> tuple[Graph, ...]:
     """Unicyclic graphs with n <= 7 that are isomorphic to their own
-    singleton coalition graph, in corpus order."""
-    corpus = enumerate_corpus(CorpusSpec(7, ("unicyclic",)))
-    return tuple(g for g in corpus if is_self_edge_coalition_graph(g))
+    singleton coalition graph, in bound-corpus order."""
+    unicyclic = (g for g in _bound_corpus() if g.m == g.n <= 7 and _is_connected(g))
+    return tuple(g for g in unicyclic if is_self_edge_coalition_graph(g))
 
 
 def _check_coalition_graphs() -> tuple[bool, str]:

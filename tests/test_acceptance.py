@@ -189,7 +189,7 @@ def test_criterion_12_oracle_equivalence():
 
 
 def test_bound_corpus_holds_each_class_once_within_the_oracle_cap():
-    # Criteria 9, 10, 12 and 14 read this one corpus: every graph with an
+    # Every corpus check, criteria 6 to 14, reads this one corpus: every graph with an
     # edge and n <= 5, trees 6 <= n <= 9 and unicyclic graphs 6 <= n <= 8.
     corpus = eclab.theorems._bound_corpus()
     forms = {_canonical_form(g)[0] for g in corpus}
@@ -207,6 +207,39 @@ def test_small_connected_corpus_is_read_from_the_bound_corpus():
     enumerated = [g for g in enumerate_corpus(CorpusSpec(5, ("connected",))) if g.m >= 1]
     assert len(connected) == len(enumerated) == 30
     assert {_canonical_form(g)[0] for g in connected} == {_canonical_form(g)[0] for g in enumerated}
+
+
+@pytest.mark.parametrize(
+    "tag, recognizer, cls, max_n, count",
+    [
+        ("trees-phi", "phi_recognizer", "trees", 9, 94),
+        ("unicyclic-theta", "theta_recognizer", "unicyclic", 8, 143),
+    ],
+)
+def test_recognizer_sweep_reads_the_bound_corpus(monkeypatch, tag, recognizer, cls, max_n, count):
+    # Criteria 7 and 8 filter the bound corpus by shape, the same graph
+    # objects, and still cover every class of their corpus once.
+    swept = []
+    original = getattr(eclab.theorems, recognizer)
+
+    def recording(g):
+        swept.append(g)
+        return original(g)
+
+    monkeypatch.setattr(eclab.theorems, recognizer, recording)
+    assert run_check(tag).passed
+    bound = {id(g) for g in eclab.theorems._bound_corpus()}
+    assert all(id(g) in bound for g in swept)
+    enumerated = [g for g in enumerate_corpus(CorpusSpec(max_n, (cls,))) if g.m >= 1]
+    assert len(swept) == len(enumerated) == count
+    assert {_canonical_form(g)[0] for g in swept} == {_canonical_form(g)[0] for g in enumerated}
+
+
+def test_self_coalition_census_reads_the_bound_corpus():
+    bound = {id(g) for g in eclab.theorems._bound_corpus()}
+    hits = self_coalition_census()
+    assert len(hits) == 3
+    assert all(id(g) in bound for g in hits)
 
 
 def test_criterion_13_spot_checks():

@@ -13,8 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_first_coalitions.py", "03_coalition_graphs.py", "04_characterizations_and_bounds.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
+def _run(demo: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
@@ -24,3 +23,15 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    _run(demo)
+
+
+def test_coalition_graph_demo_prints_the_three_census_hits():
+    # Demo 03 prints the suite's own census, one "  n=..." line per hit.
+    hits = [line for line in _run("03_coalition_graphs.py").splitlines() if line.startswith("  n=")]
+    assert [line.split(":")[0] for line in hits] == ["  n=5", "  n=6", "  n=7"]

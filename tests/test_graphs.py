@@ -133,6 +133,18 @@ class TestConstruction:
         with pytest.raises(OutOfRangeVertex, match="nonnegative"):
             Graph(-1)
 
+    @pytest.mark.parametrize("edge", [(True, 2), (0, False), (0.0, 1), (0, 1.0), ("0", 1), (None, 1)])
+    def test_endpoint_that_is_not_an_int_vertex_refused(self, edge):
+        # A stored bool endpoint would be written as "True 2", which
+        # parse_edge_list refuses.
+        with pytest.raises(OutOfRangeVertex, match="int endpoints"):
+            Graph(3, [edge])
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_vertex_count_that_is_not_a_nonnegative_int_refused(self, n):
+        with pytest.raises(OutOfRangeVertex, match="nonnegative int"):
+            Graph(n)
+
     def test_isolated_vertices_allowed(self):
         g = Graph(5, [(0, 1)])
         assert g.n == 5 and g.m == 1
