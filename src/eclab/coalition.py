@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
 from .domination import _cover_mask, check_edge_set, edge_domination_number
@@ -249,7 +251,8 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
       * every block must keep a *potential* partner: the part of its
         deficiency that no remaining edge can cover must already be covered
         by some other existing block that is not itself dominating (that
-        part lies outside the block's own cover, so it is never its own).
+        part lies outside the block's own cover, so it is never its own);
+      * no twin swap may map the labeling onto a lex-smaller one.
 
     The slack at edge i is used + (m - i) - k.  At 0, edge i going into an
     existing block leaves a child with used + (m - i - 1) = k - 1 < k, which
@@ -261,6 +264,35 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     k <= m makes it at least 0 at the root it never drops below 0; k > m is
     refuted on entry.
 
+    Twin swaps (lex-leader symmetry breaking; Crawford, Ginsberg, Luks and
+    Roy, KR 1996).  A swap p of :meth:`Graph.twin_swaps` is an automorphism
+    acting on edges, with p[p[f]] = f, so p(N[e]) = N[p[e]] and it maps
+    every ec-partition of order k onto one of order k.  The image of a
+    labeling L puts edge f in the block of p[f]; renumbering its labels in
+    order of first use gives a restricted-growth string L'.  L'[f] depends
+    on L at p[0], ..., p[f] only, so once edges 0..f and p[0..f] are
+    labelled and L' agrees with L before f, L'[f] against L[f] decides
+    L' < L or L' > L for every completion of the prefix.  A prefix decided
+    L' < L is cut.  Each of its completions that is an ec-partition of
+    order k has a strictly smaller automorphic image of the same order, so
+    it is not the lex-least one; the lex-least witness of the order has no
+    smaller image and is never cut.  The search therefore returns the same
+    witness, and refutes the same orders, as without this rule.  At k = m
+    the one labeling left, 0, 1, ..., m - 1, is its own image, so no swap
+    is walked there.
+
+    Each swap's comparison is one walk over f that resumes only when the
+    edge it waits for, max(f, p[f]), gets its label: ``waiting[e]`` holds
+    the walks due at edge e, and a walk decided L' > L leaves the subtree.
+    The relabeling from L to L' is the identity on the ``seen`` labels of
+    the edges before the first one p moves, which are fixed, and ``extra``
+    on the rest.  Past the last edge p moves, every edge left is fixed and
+    the relabeling permutes the labels used so far, fixing each new one.
+    The walk then becomes a *tail*: only the labels it moves, x to y, can
+    decide, at the first later edge labelled x, and y < x there cuts.  A
+    tail that moves no label is dropped.  A graph without twins has no
+    walk; its nodes pay one list lookup and two tests per child for them.
+
     A block is empty exactly when its cover is 0, because N[e] contains e.
     """
     m = g.m
@@ -268,13 +300,16 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         return None
     closed = g.closed_edge_masks()
     full = g.full_edge_mask
-    rem = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        rem[i] = rem[i + 1] | closed[i]
+    # rem[i]: the union of N[e] over the edges e >= i not yet labelled.
+    rem = list(accumulate(reversed(closed), or_, initial=0))[::-1]
 
     labels = [0] * m
     covers = [0] * k
     used = 0
+    # A walk is (p, last, f, seen, extra), a tail (None, _, _, _, moves).
+    waiting: list[tuple] = [()] * m
+    for first, last, p in g.twin_swaps() if k < m else ():
+        waiting[p[first]] += ((p, last, first, -1, None),)
 
     def partners_feasible(i: int) -> bool:
         r = rem[i]
@@ -289,6 +324,65 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
                 return False
         return True
 
+    def resume_walks(i: int) -> list[tuple[int, tuple]] | None:
+        """Advance the walks due at edge i, just labelled: None, with every
+        move undone, when one decides L' < L, else (edge, walks before) for
+        each move."""
+        moved = []
+        for walk in waiting[i]:
+            p, last, f, seen, extra = walk
+            if p is None:
+                x = labels[i]
+                y = extra.get(x)
+                if y is not None:
+                    if y < x:
+                        break
+                    continue
+                e = i + 1
+            else:
+                if seen < 0:
+                    seen = max(labels[:f]) + 1 if f else 0
+                    extra = {}
+                else:
+                    extra = extra.copy()
+                y = z = 0
+                while f <= i:
+                    image = p[f]
+                    if image > i:
+                        break
+                    x = labels[image]
+                    if x < seen:
+                        y = x
+                    else:
+                        y = extra.get(x)
+                        if y is None:
+                            y = extra[x] = seen + len(extra)
+                    z = labels[f]
+                    if y != z:
+                        break
+                    f += 1
+                if y != z:
+                    if y < z:
+                        break
+                    continue
+                if f <= last:
+                    e = max(f, p[f])
+                    walk = (p, last, f, seen, extra)
+                else:  # f = i + 1, every edge left is fixed: a tail
+                    extra = {x: y for x, y in extra.items() if x != y}
+                    if not extra:
+                        continue
+                    e = f
+                    walk = (None, 0, 0, 0, extra)
+            if e < m:
+                moved.append((e, waiting[e]))
+                waiting[e] += (walk,)
+        else:
+            return moved
+        for e, walks in reversed(moved):
+            waiting[e] = walks
+        return None
+
     counter = 0
 
     def rec(i: int) -> bool:
@@ -299,17 +393,26 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         if i == m:
             return used == k  # partners_feasible(m) held before descending here
         slack = used + (m - i) - k
-        for b in range(used if slack == 0 else 0, min(used + 1, k)):
+        walks = waiting[i]
+        # Existing blocks, then a new one while fewer than k are open.
+        for b in range(used if slack == 0 else 0, used + (used < k)):
             old_cover = covers[b]
             new_cover = old_cover | closed[i]
             if old_cover and new_cover == full:
                 continue
             labels[i] = b
+            if walks:
+                moved = resume_walks(i)
+                if moved is None:
+                    continue
             covers[b] = new_cover
             if not old_cover:
                 used += 1
             if partners_feasible(i + 1) and rec(i + 1):
                 return True
+            if walks:
+                for e, before in reversed(moved):
+                    waiting[e] = before
             covers[b] = old_cover
             if not old_cover:
                 used -= 1
@@ -512,7 +615,7 @@ def ec_bounds(g: Graph) -> BoundReport:
     _require_edges(g)
     m = g.m
     n = g.n
-    degrees = [g.degree(v) for v in range(n)]
+    degrees = [len(row) for row in g._adj]
     delta = min(degrees)
     has_full_edge = any(is_full_edge(g, e) for e in range(m))
     has_isolated_edge = any(g.edge_neighbor_mask(e) == 0 for e in range(m))

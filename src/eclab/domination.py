@@ -118,7 +118,7 @@ def vertex_domination_number(g: Graph) -> int:
     n = g.n
     closed = [1 << v for v in range(n)]
     for v in range(n):
-        for u in g.neighbors(v):
+        for u in g._adj[v]:
             closed[v] |= 1 << u
     full = (1 << n) - 1
     for size in range(1, n + 1):

@@ -204,13 +204,17 @@ def closed_form_ec(spec: FamilySpec) -> int | None:
     if kind == "complete":
         n = p[0]
         return n * (n - 1) // 2 if n <= 5 else None
-    # Complete bipartite: K_{1,s} is the star with s leaves; for r >= 2 only
-    # lower bounds are known.
-    r, s = p
+    # Complete bipartite: K_{1,s} is the star with s leaves.  K_{2,s} with
+    # s >= 2 and parts {a, b} and X has EC = 2s = m: the singleton partition
+    # is an ec-partition, since edge ax partners edge bx (their closed
+    # neighbourhoods hold every edge at a and at b, so all of them) and
+    # neither dominates (ax misses by for every other y in X, and bx misses
+    # ay).  For r, s >= 3 only lower bounds are known.
+    r, s = sorted(p)
     if r == 1:
         return s
-    if s == 1:
-        return r
+    if r == 2:
+        return 2 * s
     return None
 
 
@@ -245,13 +249,14 @@ def phi_recognizer(t: Graph) -> bool:
 
 def _cycle_vertices(g: Graph) -> list[int]:
     """Vertices on the unique cycle of a unicyclic graph (peel leaves)."""
-    degree = [g.degree(v) for v in range(g.n)]
+    adj = g._adj
+    degree = [len(row) for row in adj]
     alive = [True] * g.n
     pending = [v for v in range(g.n) if degree[v] == 1]
     while pending:
         v = pending.pop()
         alive[v] = False
-        for u in g.neighbors(v):
+        for u in adj[v]:
             if alive[u]:
                 degree[u] -= 1
                 if degree[u] == 1:
@@ -281,10 +286,9 @@ def theta_recognizer(g: Graph) -> bool:
     if not outside:
         return 3 <= cycle_len <= 6
 
-    attach_points = {
-        c for c in cycle if any(u not in cycle for u in g.neighbors(c))
-    }
-    if all(g.degree(v) == 1 and any(u in cycle for u in g.neighbors(v)) for v in outside):
+    adj = g._adj
+    attach_points = {c for c in cycle if any(u not in cycle for u in adj[c])}
+    if all(len(adj[v]) == 1 and any(u in cycle for u in adj[v]) for v in outside):
         # Only pendant leaves hang off the cycle.
         return {3: True, 4: len(attach_points) in (1, 2), 5: len(attach_points) == 1}.get(
             cycle_len, False
@@ -293,14 +297,14 @@ def theta_recognizer(g: Graph) -> bool:
         return False
     # One depth-two tail: a single inner vertex w adjacent to exactly one
     # cycle vertex, all of w's other neighbors leaves, nothing else.
-    inner = [v for v in outside if g.degree(v) > 1]
+    inner = [v for v in outside if len(adj[v]) > 1]
     if len(inner) != 1 or len(attach_points) != 1:
         return False
     # With w = inner[0], the {w} test also makes w adjacent to the one
     # attachment point, and every other neighbour of w is then an outside
     # vertex other than w, so a leaf.
     attach = next(iter(attach_points))
-    return set(g.neighbors(attach)) - cycle == {inner[0]}
+    return set(adj[attach]) - cycle == {inner[0]}
 
 
 class SmallEcClass(enum.Enum):

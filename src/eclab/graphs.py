@@ -5,8 +5,9 @@ library by their 0-based index; sets of edges are plain ``frozenset``
 objects of indices.  A :class:`Graph` stores the edge list and builds
 from it, on first use, one bitmask per edge, its closed edge
 neighbourhood N[e]; every other edge relation (open neighbourhoods, the
-line graph) is read from those bits.  A :class:`Graph` is immutable
-after construction and that fill always stores the same masks, so
+line graph) is read from those bits.  The twin swaps the solver breaks
+symmetry with are built the same way.  A :class:`Graph` is immutable
+after construction and each fill always stores the same value, so
 instances can be shared freely between threads and reused as keys.
 
 The module also provides the edge-list text format used by the CLI:
@@ -44,10 +45,11 @@ class Graph:
     ``(min, max)`` and stored in insertion order, with the sorted adjacency
     of each vertex; ``m`` is the edge count.  The closed edge masks take m²
     bits, so the first :meth:`closed_edge_masks` call builds them from the
-    edge list: a graph only stored, written or refused never does.
+    edge list: a graph only stored, written or refused never does.  The
+    twin swaps of :meth:`twin_swaps` are built the same way, on first use.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_closed")
+    __slots__ = ("n", "edges", "_adj", "_closed", "_twins")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not _is_index(n, float("inf")):
@@ -69,6 +71,7 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._closed: tuple[int, ...] | None = None
+        self._twins: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -80,13 +83,15 @@ class Graph:
         return (1 << self.m) - 1
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not _is_index(v, self.n):
+            raise OutOfRangeVertex(f"vertex {v!r} not in 0..{self.n - 1}")
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adj[u]
+        return _is_index(u, self.n) and _is_index(v, self.n) and v in self._adj[u]
 
     def edge_neighbor_mask(self, e: int) -> int:
         """Open neighborhood of edge ``e`` as a bitmask (``e`` excluded)."""
@@ -103,6 +108,53 @@ class Graph:
                 incident[v] |= 1 << f
             self._closed = tuple(incident[u] | incident[v] for u, v in self.edges)
         return self._closed
+
+    def twin_swaps(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Twin transpositions acting on edges, built on first use: one
+        ``(first, last, p)`` each, with ``p[e]`` the image of edge e and
+        ``first`` and ``last`` the least and greatest edge p moves.
+
+        Vertices u != v are twins when N(u) - {v} = N(v) - {u}: open twins
+        have N(u) = N(v), closed twins N[u] = N[v].  Swapping them is an
+        automorphism: it maps edge uw onto vw for every other neighbour w
+        and fixes every other edge, so ``p[p[e]] == e``.  The classes of
+        twins are the vertices grouped by open and by closed neighbourhood
+        mask, and each class gives the transpositions of its consecutive
+        members, which generate every permutation of the class.  One that
+        moves no edge is left out: u has no neighbour but v, as for
+        isolated vertices or a K2 component.
+        """
+        if self._twins is None:
+            n, adj, edges = self.n, self._adj, self.edges
+            opened = [0] * n
+            for u, v in edges:
+                opened[u] |= 1 << v
+                opened[v] |= 1 << u
+            closed = [mask | 1 << v for v, mask in enumerate(opened)]
+            pairs = []
+            for masks in (opened, closed):
+                if len(set(masks)) < n:
+                    latest: dict[int, int] = {}
+                    for v, mask in enumerate(masks):
+                        if mask in latest:
+                            pairs.append((latest[mask], v))
+                        latest[mask] = v
+            swaps = []
+            if pairs:
+                index = {pair: e for e, pair in enumerate(edges)}
+                for u, v in pairs:
+                    perm = list(range(len(edges)))
+                    ends = []
+                    for w in adj[u]:
+                        if w != v:
+                            a = index[(u, w) if u < w else (w, u)]
+                            b = index[(v, w) if v < w else (w, v)]
+                            perm[a], perm[b] = b, a
+                            ends += a, b
+                    if ends:
+                        swaps.append((min(ends), max(ends), tuple(perm)))
+            self._twins = tuple(swaps)
+        return self._twins
 
     def _check_edge(self, e: int) -> None:
         if not _is_index(e, self.m):
@@ -172,7 +224,7 @@ class GraphMetrics:
 def graph_metrics(g: Graph) -> GraphMetrics:
     """Degrees, connectivity class, diameter and longest simple path of ``g``."""
     n = g.n
-    degrees = [g.degree(v) for v in range(n)]
+    degrees = [len(row) for row in g._adj]
     min_deg = min(degrees) if degrees else 0
     max_deg = max(degrees) if degrees else 0
     connected = _is_connected(g)
@@ -230,12 +282,13 @@ def _is_connected(g: Graph) -> bool:
 
 def _bfs_distances(g: Graph, start: int) -> list[int]:
     """Edge distance from ``start`` to every vertex; -1 where unreachable."""
+    adj = g._adj
     dist = [-1] * g.n
     dist[start] = 0
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for u in g.neighbors(v):
+        for u in adj[v]:
             if dist[u] < 0:
                 dist[u] = dist[v] + 1
                 queue.append(u)

@@ -121,7 +121,9 @@ class TestClosedForms:
             ("complete:5", 10),
             ("complete:6", None),
             ("kbip:1,4", 4),
-            ("kbip:2,3", None),
+            ("kbip:2,3", 6),
+            ("kbip:5,2", 10),
+            ("kbip:3,3", None),
             ("kbip:3,1", 3),
         ],
     )
@@ -134,6 +136,7 @@ class TestClosedForms:
         specs += [FamilySpec("star", (n,)) for n in range(1, 7)]
         specs += [FamilySpec("double_star", (p, q)) for p in range(4) for q in range(p + 1)]
         specs += [FamilySpec("complete", (n,)) for n in range(2, 6)]
+        specs += [FamilySpec("complete_bipartite", (2, s)) for s in range(2, 7)]
         for spec in specs:
             want = closed_form_ec(spec)
             assert want is not None

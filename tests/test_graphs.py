@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -214,6 +215,20 @@ class TestEdgeNeighborhood:
         # _adj[-1] would be vertex 2's row, which holds 1.
         for u, v in [(0, 1), (-1, 1), (3, 1), (1, 3)]:
             assert not g.has_edge(u, v)
+
+    @pytest.mark.parametrize("u, v", [(True, 2), (2, True), (1, 2.0), (1.0, 2), ("1", 2)])
+    def test_has_edge_names_vertices_by_int(self, u, v):
+        # True and 2.0 would answer for vertices 1 and 2; 1.0 and "1" would
+        # raise a bare TypeError.
+        assert not Graph(3, [(1, 2)]).has_edge(u, v)
+
+    @pytest.mark.parametrize("v", [-1, 3, True, 1.0, None])
+    def test_degree_and_neighbors_refuse_a_non_vertex(self, v):
+        # _adj[-1] is vertex 2's row (1,), and _adj[True] vertex 1's.
+        g = Graph(3, [(1, 2)])
+        for query in (g.degree, g.neighbors):
+            with pytest.raises(OutOfRangeVertex, match=re.escape(f"vertex {v!r} not in 0..2")):
+                query(v)
 
     @settings(max_examples=60)
     @given(small_graphs())
