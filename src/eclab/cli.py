@@ -91,13 +91,15 @@ def _edge_cap(args: argparse.Namespace) -> int:
 
 
 def _seconds(text: str) -> float:
-    """argparse type of ``--time-budget``: a finite number of seconds."""
+    """argparse type of ``--time-budget``: a finite, nonnegative number of seconds."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number of seconds, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
     return value
 
 
@@ -137,10 +139,10 @@ def _cmd_ec(args: argparse.Namespace) -> int:
         raise EclabError("--max-edges applies to exact mode only, not with --lower-bound")
     if not args.lower_bound and args.time_budget is not None:
         raise EclabError("--time-budget applies only with --lower-bound")
-    if args.family and not args.lower_bound:  # refuse from the spec, before building the graph
-        _check_edge_cap(_edge_count(FamilySpec.parse(args.family)), _edge_cap(args))
-    g = _load_graph(args)
     cap = _edge_cap(args)  # read in both modes: a malformed ECLAB_MAX_EDGES is a usage error
+    if args.family and not args.lower_bound:  # refuse from the spec, before building the graph
+        _check_edge_cap(_edge_count(FamilySpec.parse(args.family)), cap)
+    g = _load_graph(args)
     if args.lower_bound:
         budget = 30.0 if args.time_budget is None else args.time_budget
         result = edge_coalition_lower_bound(g, time_budget=budget)

@@ -281,17 +281,16 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     the one labeling left, 0, 1, ..., m - 1, is its own image, so no swap
     is walked there.
 
-    Each swap's comparison is one walk over f that resumes only when the
-    edge it waits for, max(f, p[f]), gets its label: ``waiting[e]`` holds
-    the walks due at edge e, and a walk decided L' > L leaves the subtree.
-    The relabeling from L to L' is the identity on the ``seen`` labels of
-    the edges before the first one p moves, which are fixed, and ``extra``
-    on the rest.  Past the last edge p moves, every edge left is fixed and
-    the relabeling permutes the labels used so far, fixing each new one.
-    The walk then becomes a *tail*: only the labels it moves, x to y, can
-    decide, at the first later edge labelled x, and y < x there cuts.  A
-    tail that moves no label is dropped.  A graph without twins has no
-    walk; its nodes pay one list lookup and two tests per child for them.
+    Each swap's comparison is a walk ``(p, f, due, seen, extra)`` passed
+    down the recursion: L' agrees with L before edge f, and the walk
+    resumes once edge due = max(f, p[f]) is labelled.  The relabeling from
+    L to L' is the identity on the ``seen`` labels of the edges before the
+    first one p moves, which are fixed, and ``extra`` on the rest.  A walk
+    decided L' > L, or equal through edge m - 1, leaves the subtree.  Walks
+    are never changed in place, so backtracking restores nothing.  Past the
+    last edge p moves, p[f] = f and the walk steps one edge per node.  A
+    graph without twins has no walk; its nodes pay one truth test per child
+    for them.
 
     A block is empty exactly when its cover is 0, because N[e] contains e.
     """
@@ -306,10 +305,6 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     labels = [0] * m
     covers = [0] * k
     used = 0
-    # A walk is (p, last, f, seen, extra), a tail (None, _, _, _, moves).
-    waiting: list[tuple] = [()] * m
-    for first, last, p in g.twin_swaps() if k < m else ():
-        waiting[p[first]] += ((p, last, first, -1, None),)
 
     def partners_feasible(i: int) -> bool:
         r = rem[i]
@@ -324,68 +319,45 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
                 return False
         return True
 
-    def resume_walks(i: int) -> list[tuple[int, tuple]] | None:
-        """Advance the walks due at edge i, just labelled: None, with every
-        move undone, when one decides L' < L, else (edge, walks before) for
-        each move."""
-        moved = []
-        for walk in waiting[i]:
-            p, last, f, seen, extra = walk
-            if p is None:
-                x = labels[i]
-                y = extra.get(x)
-                if y is not None:
-                    if y < x:
-                        break
-                    continue
-                e = i + 1
+    def advance(walks: tuple, i: int) -> tuple | None:
+        """The walks for the subtree below edge i, just labelled, or None
+        when one decides L' < L."""
+        below = []
+        for walk in walks:
+            p, f, due, seen, extra = walk
+            if due > i:
+                below.append(walk)
+                continue
+            if seen < 0:
+                seen = max(labels[:f]) + 1 if f else 0
+                extra = {}
             else:
-                if seen < 0:
-                    seen = max(labels[:f]) + 1 if f else 0
-                    extra = {}
+                extra = extra.copy()
+            while f <= i:  # due <= i, so at least one step runs
+                image = p[f]
+                if image > i:
+                    break
+                x = labels[image]
+                if x < seen:
+                    y = x
                 else:
-                    extra = extra.copy()
-                y = z = 0
-                while f <= i:
-                    image = p[f]
-                    if image > i:
-                        break
-                    x = labels[image]
-                    if x < seen:
-                        y = x
-                    else:
-                        y = extra.get(x)
-                        if y is None:
-                            y = extra[x] = seen + len(extra)
-                    z = labels[f]
-                    if y != z:
-                        break
-                    f += 1
+                    y = extra.get(x)
+                    if y is None:
+                        y = extra[x] = seen + len(extra)
+                z = labels[f]
                 if y != z:
-                    if y < z:
-                        break
-                    continue
-                if f <= last:
-                    e = max(f, p[f])
-                    walk = (p, last, f, seen, extra)
-                else:  # f = i + 1, every edge left is fixed: a tail
-                    extra = {x: y for x, y in extra.items() if x != y}
-                    if not extra:
-                        continue
-                    e = f
-                    walk = (None, 0, 0, 0, extra)
-            if e < m:
-                moved.append((e, waiting[e]))
-                waiting[e] += (walk,)
-        else:
-            return moved
-        for e, walks in reversed(moved):
-            waiting[e] = walks
-        return None
+                    break
+                f += 1
+            if y != z:
+                if y < z:
+                    return None
+            elif f < m:
+                below.append((p, f, max(f, p[f]), seen, extra))
+        return tuple(below)
 
     counter = 0
 
-    def rec(i: int) -> bool:
+    def rec(i: int, walks: tuple) -> bool:
         nonlocal counter, used
         counter += 1
         if counter & 0xFFF == 0 and time.monotonic() > deadline:
@@ -393,7 +365,6 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         if i == m:
             return used == k  # partners_feasible(m) held before descending here
         slack = used + (m - i) - k
-        walks = waiting[i]
         # Existing blocks, then a new one while fewer than k are open.
         for b in range(used if slack == 0 else 0, used + (used < k)):
             old_cover = covers[b]
@@ -401,24 +372,24 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
             if old_cover and new_cover == full:
                 continue
             labels[i] = b
+            below = walks
             if walks:
-                moved = resume_walks(i)
-                if moved is None:
+                below = advance(walks, i)
+                if below is None:
                     continue
             covers[b] = new_cover
             if not old_cover:
                 used += 1
-            if partners_feasible(i + 1) and rec(i + 1):
+            if partners_feasible(i + 1) and rec(i + 1, below):
                 return True
-            if walks:
-                for e, before in reversed(moved):
-                    waiting[e] = before
             covers[b] = old_cover
             if not old_cover:
                 used -= 1
         return False
 
-    return list(labels) if rec(0) else None
+    # A walk is (p, f, due, seen, extra), with seen = -1 until its first step.
+    walks = tuple((p, first, p[first], -1, None) for first, p in g.twin_swaps()) if k < m else ()
+    return list(labels) if rec(0, walks) else None
 
 
 def _degree_bound(closed: Sequence[int]) -> int:
@@ -553,12 +524,14 @@ def edge_coalition_lower_bound(
     get refuted in time are skipped downward.  The first order that yields
     a partition gives a certificate; the value is exact only if no higher
     order was skipped, and the result is always labeled "lower_bound".  A
-    non-finite budget would never time out, so it raises
-    :class:`EclabError`; :class:`BudgetExceeded` means no order was filled
-    in time.
+    non-finite budget would never time out and a negative one has run out
+    before any search, so both raise :class:`EclabError`;
+    :class:`BudgetExceeded` means no order was filled in time.
     """
-    if not math.isfinite(time_budget):
-        raise EclabError(f"time_budget must be a finite number of seconds, got {time_budget!r}")
+    if not (math.isfinite(time_budget) and time_budget >= 0):
+        raise EclabError(
+            f"time_budget must be a finite, nonnegative number of seconds, got {time_budget!r}"
+        )
     m = g.m
     _require_edges(g)
     found = _largest_order(g, time.monotonic() + time_budget)

@@ -71,7 +71,7 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._closed: tuple[int, ...] | None = None
-        self._twins: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
+        self._twins: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -109,10 +109,10 @@ class Graph:
             self._closed = tuple(incident[u] | incident[v] for u, v in self.edges)
         return self._closed
 
-    def twin_swaps(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    def twin_swaps(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Twin transpositions acting on edges, built on first use: one
-        ``(first, last, p)`` each, with ``p[e]`` the image of edge e and
-        ``first`` and ``last`` the least and greatest edge p moves.
+        ``(first, p)`` each, with ``p[e]`` the image of edge e and ``first``
+        the least edge p moves.
 
         Vertices u != v are twins when N(u) - {v} = N(v) - {u}: open twins
         have N(u) = N(v), closed twins N[u] = N[v].  Swapping them is an
@@ -144,15 +144,15 @@ class Graph:
                 index = {pair: e for e, pair in enumerate(edges)}
                 for u, v in pairs:
                     perm = list(range(len(edges)))
-                    ends = []
+                    first = len(edges)
                     for w in adj[u]:
                         if w != v:
                             a = index[(u, w) if u < w else (w, u)]
                             b = index[(v, w) if v < w else (w, v)]
                             perm[a], perm[b] = b, a
-                            ends += a, b
-                    if ends:
-                        swaps.append((min(ends), max(ends), tuple(perm)))
+                            first = min(first, a, b)
+                    if first < len(edges):
+                        swaps.append((first, tuple(perm)))
             self._twins = tuple(swaps)
         return self._twins
 

@@ -112,8 +112,8 @@ class TestEc:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
-    def test_non_finite_budget_is_usage_error(self, capsys, budget):
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "-1"])
+    def test_negative_or_non_finite_budget_is_usage_error(self, capsys, budget):
         with pytest.raises(SystemExit) as exc:
             main(["ec", "--family", "path:3", "--lower-bound", f"--time-budget={budget}"])
         assert exc.value.code == 2

@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import random
 import re
 import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eclab import coalition
@@ -292,11 +293,12 @@ class TestSolver:
         with pytest.raises(BudgetExceeded, match=r"within 0\.05s"):
             edge_coalition_lower_bound(P6, time_budget=0.05)
 
-    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
-    def test_lower_bound_rejects_non_finite_budget(self, monkeypatch, budget):
-        # Such a budget never runs out, so every order would run to the end.
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_lower_bound_rejects_negative_or_non_finite_budget(self, monkeypatch, budget):
+        # A non-finite budget never runs out, so every order would run to
+        # the end; a negative one has run out before any order starts.
         def no_search(*args, **kwargs):
-            raise AssertionError("searched with a non-finite budget")
+            raise AssertionError(f"searched with budget {budget}")
 
         monkeypatch.setattr(coalition, "_find_partition_of_order", no_search)
         with pytest.raises(EclabError, match="time_budget"):
@@ -511,7 +513,7 @@ class TestPrefixPrunes:
 
 def _swapped_pairs(g: Graph) -> list[list[tuple[int, int]]]:
     """Each twin swap of ``g`` as its edge pairs (e, p[e]) with e < p[e]."""
-    return [[(e, f) for e, f in enumerate(p) if e < f] for _, _, p in g.twin_swaps()]
+    return [[(e, f) for e, f in enumerate(p) if e < f] for _, p in g.twin_swaps()]
 
 
 class TestTwinSymmetry:
@@ -542,9 +544,9 @@ class TestTwinSymmetry:
     @given(small_graphs(max_n=7))
     def test_each_swap_is_an_edge_automorphism(self, g):
         closed = g.closed_edge_masks()
-        for first, last, p in g.twin_swaps():
+        for first, p in g.twin_swaps():
             moved = [e for e in range(g.m) if p[e] != e]
-            assert (first, last) == (moved[0], moved[-1])
+            assert first == moved[0]
             for e in range(g.m):
                 assert p[p[e]] == e
                 image = sum(1 << p[f] for f in range(g.m) if closed[e] >> f & 1)
@@ -552,6 +554,9 @@ class TestTwinSymmetry:
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(max_n=7, min_m=1, max_m=10), st.randoms(use_true_random=False))
+    # Twin-rich graphs, on which walks run on past the last edge a swap moves.
+    @example(complete_bipartite(3, 4), random.Random(3))
+    @example(complete_graph(6), random.Random(6))
     def test_same_result_as_the_search_without_swaps(self, g, rng):
         # Edge order decides which labeling is least, so shuffle it.  With
         # no swaps the search is the plain restricted-growth enumeration.
