@@ -24,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
 from .domination import _cover_mask, check_edge_set, edge_domination_number
@@ -293,6 +293,49 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     for them.
 
     A block is empty exactly when its cover is 0, because N[e] contains e.
+
+    Frontier memo (nogood recording; Dechter, *Constraint Processing*,
+    2003).  At the node of depth i, edges 0..i-1 are labelled.  Call an edge
+    y *finalized* when every edge of N[y] is labelled; since N is symmetric,
+    the edges not finalized are exactly rem[i], and F = full & ~rem[i] are
+    the finalized ones.  Call a pair of blocks (b, c) *dead* when some edge
+    of F lies in neither cover, a block not yet open covering nothing.  The
+    node's key is (i, used, dead, the labels of boundary[i]), where
+    boundary[i] lists the edges e < i whose N[e] meets rem[i].  Any later
+    cover of block b is covers[b] plus edges of rem[i] only, so it agrees
+    with covers[b] on F, and covers[b] & rem[i] is the union of
+    N[e] & rem[i] over the edges e of boundary[i] labelled b.  Hence every
+    test below the node reads the key alone:
+      * block b is open, that is its cover is not 0, exactly when b < used;
+      * block b is full exactly when (b, b) is not dead and its cover
+        contains rem[i];
+      * at any depth j >= i, ``need & ~covers[c]`` in ``partners_feasible``
+        is F_j & ~(covers[b] | covers[c]), which is 0 exactly when (b, c) is
+        not dead and the two covers together hold F_j & rem[i]; ``need``
+        itself is the case c = b;
+      * the slack count and the leaf test read only ``used``.
+    Two nodes with equal keys therefore have subtrees with the same
+    solutions, so a key whose subtree failed fails again.  A failure is
+    recorded only at a node whose walk tuple is empty: no twin swap cuts its
+    subtree, so the failure means that no completion is an ec-partition of
+    order k, and a node with any walks may consult it.  Only failures are
+    stored and the children keep their order, so the search returns the same
+    witness, and refutes the same orders, as without the memo.  ``dead`` is
+    a k*k-bit int, bit b*k + c for the pair (b, c), grown without a rescan:
+    on entry to depth i, each edge y of fin[i], finalized by labelling edge
+    i - 1, adds every pair inside the blocks that do not meet N[y].  Only
+    children that pass ``partners_feasible``, which does not read it, pay
+    for that update.
+    The key repeats where the labelled part of the frontier is narrow and
+    costs O(k²) bits per node, so the memo is on only for edge orders whose
+    :func:`_frontier_width` is at most ``_MEMO_WIDTH``: paths (width 1) and
+    cycles (2) are in, K6 (10) and K4,4 (12) out.  It is also off while the
+    slack m - k at the root is below ``_MEMO_SLACK``: so few edges join an
+    existing block that the search is small and its keys rarely repeat.  On
+    the orders of the graphs of width at most 2 among connected graphs with
+    n <= 7 and m <= 10, trees with n <= 10 and unicyclic graphs with n <= 9,
+    the memo took 1.55, 1.24 and 1.04 times as long as the plain search at
+    slack 1, 2 and 3, and 0.91 times at slack 4; P17 at k = 6 has slack 10.
     """
     m = g.m
     if k > m:
@@ -305,6 +348,23 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     labels = [0] * m
     covers = [0] * k
     used = 0
+
+    memo: set | None = None
+    if m - k >= _MEMO_SLACK and _frontier_width(rem) <= _MEMO_WIDTH:
+        memo = set()
+        # The labels of boundary[i]; itemgetter gives one label bare, and
+        # keys are compared only at equal depth.
+        boundary = [
+            itemgetter(*b) if b else lambda _: ()
+            for b in ([e for e in range(i) if closed[e] & rem[i]] for i in range(m))
+        ]
+        # fin[i]: N[y], as a list, of each edge y whose highest closed
+        # neighbour is i - 1, so that labelling edge i - 1 finalizes y.
+        fin: list[list[list[int]]] = [[] for _ in range(m + 1)]
+        for mask in closed:
+            fin[mask.bit_length()].append([e for e in range(m) if mask >> e & 1])
+        # squares[have]: the pairs inside the blocks outside the label set have.
+        squares: dict[int, int] = {}
 
     def partners_feasible(i: int) -> bool:
         r = rem[i]
@@ -357,13 +417,28 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
 
     counter = 0
 
-    def rec(i: int, walks: tuple) -> bool:
+    def rec(i: int, walks: tuple, dead: int) -> bool:
         nonlocal counter, used
         counter += 1
         if counter & 0xFFF == 0 and time.monotonic() > deadline:
             raise _SearchTimeout
         if i == m:
             return used == k  # partners_feasible(m) held before descending here
+        if memo is not None:
+            for nbrs in fin[i]:
+                have = 0
+                for e in nbrs:
+                    have |= 1 << labels[e]
+                square = squares.get(have)
+                if square is None:
+                    # miss times one bit per row b of miss: row b is miss.
+                    miss = ~have & ((1 << k) - 1)
+                    rows = sum(1 << b * k for b in range(k) if miss >> b & 1)
+                    square = squares[have] = miss * rows
+                dead |= square
+            key = (i, used, dead, boundary[i](labels))
+            if key in memo:
+                return False
         slack = used + (m - i) - k
         # Existing blocks, then a new one while fewer than k are open.
         for b in range(used if slack == 0 else 0, used + (used < k)):
@@ -380,16 +455,34 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
             covers[b] = new_cover
             if not old_cover:
                 used += 1
-            if partners_feasible(i + 1) and rec(i + 1, below):
+            if partners_feasible(i + 1) and rec(i + 1, below, dead):
                 return True
             covers[b] = old_cover
             if not old_cover:
                 used -= 1
+        if memo is not None and not walks:
+            memo.add(key)
         return False
 
     # A walk is (p, f, due, seen, extra), with seen = -1 until its first step.
     walks = tuple((p, first, p[first], -1, None) for first, p in g.twin_swaps()) if k < m else ()
-    return list(labels) if rec(0, walks) else None
+    return list(labels) if rec(0, walks, 0) else None
+
+
+_MEMO_WIDTH = 2
+_MEMO_SLACK = 4
+
+
+def _frontier_width(rem: Sequence[int]) -> int:
+    """The most edges that are labelled but not finalized at one node of the
+    order-k search: the largest |rem[i] ∩ {0, ..., i - 1}|.  The frontier
+    memo's key repeats often only where it is small; see
+    :func:`_find_partition_of_order`."""
+    width = below = 0  # below: the edges 0, ..., i - 1
+    for r in rem:
+        width = max(width, (r & below).bit_count())
+        below = below << 1 | 1
+    return width
 
 
 def _degree_bound(closed: Sequence[int]) -> int:

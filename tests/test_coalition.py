@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import operator
 import random
 import re
 import time
@@ -55,7 +57,13 @@ from eclab.families import (
     two_disjoint_edges,
 )
 from eclab.graphs import Graph, are_isomorphic
-from eclab.oracle import CorpusSpec, accepts_partition, brute_force_ec, enumerate_corpus
+from eclab.oracle import (
+    CorpusSpec,
+    accepts_partition,
+    brute_force_ec,
+    enumerate_corpus,
+    graphs_of_order,
+)
 
 from test_graphs import small_graphs
 
@@ -275,16 +283,35 @@ class TestSolver:
         assert result.ec == 4  # small instance: the budget is ample
         assert is_ec_partition(P6, result.certificate.blocks)
 
-    def test_lower_bound_skips_orders_that_time_out(self):
-        # An order-6 search of P17 (16 edges) run to its end takes about
-        # 8 s; the budget stops it, and a lower order gives a certificate.
-        g = path_graph(17)
+    def test_lower_bound_skips_orders_that_time_out(self, monkeypatch):
+        # K4,5 (20 edges, EC 14) refutes order 16 in about 0.7 s and order 15
+        # in about 9 s; the budget stops them, and a lower order gives a
+        # certificate.
+        g = complete_bipartite(4, 5)
+        timed_out = []
+        search = coalition._find_partition_of_order
+
+        def recording(g, k, *args, **kwargs):
+            try:
+                return search(g, k, *args, **kwargs)
+            except coalition._SearchTimeout:
+                timed_out.append(k)
+                raise
+
+        monkeypatch.setattr(coalition, "_find_partition_of_order", recording)
         start = time.monotonic()
         result = edge_coalition_lower_bound(g, time_budget=0.5)
         assert time.monotonic() - start < 3
+        assert 15 in timed_out
         assert result.mode == "lower_bound"
-        assert 1 <= result.ec <= 6
+        assert 1 <= result.ec <= 14
         assert accepts_partition(g, result.certificate.blocks)
+
+    def test_lower_bound_reaches_the_value_on_p17(self):
+        # The order-6 find of P17 takes hundredths of a second, so the budget
+        # is ample and the first order searched gives the value.
+        result = edge_coalition_lower_bound(path_graph(17), time_budget=20)
+        assert (result.ec, result.mode) == (6, "lower_bound")
 
     def test_lower_bound_error_prints_the_budget(self, monkeypatch):
         # Each read of this clock is one second later, so the first order
@@ -600,6 +627,95 @@ class TestTwinSymmetry:
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
         assert coalition._find_partition_of_order(complete_bipartite(4, 4), 13) is None
         assert reads == []
+
+
+def _rem(g: Graph) -> list[int]:
+    """rem[i] of the order-k search: the union of N[e] over the edges e >= i."""
+    closed = g.closed_edge_masks()
+    return list(itertools.accumulate(reversed(closed), operator.or_, initial=0))[::-1]
+
+
+# Edge orders the frontier gate admits: paths and cycles in their own order,
+# and the trees with 8 vertices whose frontier width is at most 2.
+_NARROW = [
+    *(path_graph(n) for n in range(2, 12)),
+    *(cycle_graph(n) for n in range(3, 11)),
+    *(t for t in graphs_of_order("trees", 8) if coalition._frontier_width(_rem(t)) <= 2),
+]
+
+
+class TestFrontierMemo:
+    """The frontier nogood memo of the order-k search."""
+
+    @pytest.mark.parametrize(
+        "g, width",
+        [
+            (path_graph(14), 1),
+            (cycle_graph(13), 2),
+            (complete_graph(6), 10),
+            (complete_bipartite(4, 4), 12),
+            (star_graph(5), 4),
+        ],
+        ids=["P14", "C13", "K6", "K4,4", "star5"],
+    )
+    def test_frontier_width(self, g, width):
+        assert coalition._frontier_width(_rem(g)) == width
+
+    def test_narrow_trees_listed(self):
+        # Ten paths, eight cycles and six trees.
+        assert len(_NARROW) == 10 + 8 + 6
+
+    @pytest.mark.parametrize(
+        "g, labels",
+        [
+            (path_graph(17), [0, 1, 0, 0, 1, 0, 0, 1, 2, 3, 1, 0, 4, 5, 0, 1]),
+            (cycle_graph(17), [0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 2, 3, 0, 1, 4, 5, 1]),
+        ],
+        ids=["P17", "C17"],
+    )
+    def test_sparse_finds_bound_the_nodes(self, monkeypatch, g, labels):
+        # Clock reads bound the nodes as in TestPrefixPrunes: at k = 6 the
+        # search without the memo finds these witnesses in 1,065,098 (P17)
+        # and 788,892 (C17) nodes, and with it in under 4,096.
+        reads = []
+        monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
+        assert coalition._find_partition_of_order(g, 6) == labels
+        assert reads == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(_NARROW), small_graphs(max_n=7, min_m=1, max_m=10)),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    # Edge orders on which a key without the label of the oldest boundary
+    # edge changes the witness.
+    @example(
+        Graph(9, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (4, 6), (6, 7), (7, 8)]),
+        False,
+        random.Random(0),
+    )
+    @example(
+        Graph(8, [(1, 2), (0, 1), (0, 7), (5, 6), (6, 7), (3, 4), (2, 3), (4, 5)]),
+        False,
+        random.Random(0),
+    )
+    def test_same_result_as_the_search_without_memo(self, g, shuffle, rng):
+        # Edge order decides which labeling is least and whether the gate
+        # admits the graph, so it is shuffled or kept.  The memo forced on,
+        # at every width and slack, checks the key where the gate refuses it.
+        edges = list(g.edges)
+        if shuffle:
+            rng.shuffle(edges)
+        g = Graph(g.n, edges)
+        orders = range(1, g.m + 1)
+        gated = [coalition._find_partition_of_order(g, k) for k in orders]
+        with mock.patch.object(coalition, "_frontier_width", lambda rem: 0), \
+                mock.patch.object(coalition, "_MEMO_SLACK", 0):
+            forced = [coalition._find_partition_of_order(g, k) for k in orders]
+        with mock.patch.object(coalition, "_frontier_width", lambda rem: math.inf):
+            plain = [coalition._find_partition_of_order(g, k) for k in orders]
+        assert gated == forced == plain
 
 
 class TestCoalitionGraph:
