@@ -10,7 +10,8 @@ the empty set dominates exactly when the graph has no edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import GraphMismatch
@@ -64,49 +65,120 @@ class DominationResult:
 def edge_domination_number(g: Graph) -> DominationResult:
     """Minimum size of an edge dominating set, with a deterministic witness.
 
-    The value is the least size at which some *matching* dominates, and
-    sizes 1, 2, ... are refuted over matchings only.  Proof: a matching
-    dominates exactly when it is maximal, since an edge outside it that
-    meets no member could be added.  Every edge dominating set D yields a
-    maximal matching of size at most |D| (Yannakakis & Gavril, *Edge
-    dominating sets in graphs*, SIAM J. Appl. Math. 38, 1980).  So no
-    matching dominates below gamma', and one of size exactly gamma' does.
-    The matchings of one size are some of its subsets, so the refutation
-    never tries more candidates than a scan of all subsets would.
+    A set D dominates an edge set F when every edge of F lies in some
+    closed neighbourhood N[d], d in D.  The undominated edges of a partial
+    choice are F = E(g[S]), S the vertices no chosen edge touches, so F
+    also names S with its isolated vertices dropped.  ``need(F)`` is the
+    fewest edges of g that dominate F, and gamma' = need(E).  It is
+    monotone: F' within F gives need(F') <= need(F).
 
-    Only at that size are all subsets scanned, in lexicographic order, so
-    the witness is still the lexicographically least minimum set (which
-    need not be a matching).  That order is each head of size - 1 edges in
-    lexicographic order, then every last edge above the head, so the scan
-    ORs each head's cover once rather than once per subset.  The whole edge
-    set dominates, so a graph with edges passes by size m at the latest;
-    only a graph without edges falls through, with 0 and the empty set.
+    **Value.**  For nonempty F and any e in F,
+    need(F) = 1 + min need(F - N[f]) over f in N[e] & F.  Proof: adding f
+    to a set that dominates F - N[f] dominates F, so need(F) is at most
+    the right side.  Conversely some d of a minimum set D lies in N[e],
+    and D - {d} dominates F - N[d].  If d is in F, that is a branch.  If
+    not, d = xw with x an end of e and w outside S, so no edge of F ends at
+    w, N[d] & F is within N[e] & F, and the branch f = e is no larger by
+    monotonicity.  For the same reason the branch e is dropped whenever
+    another branch f has N[e] & F within N[f]: then F - N[f] is within
+    F - N[e].  At a pendant edge of g[S] that leaves one branch, so a path
+    or a cycle takes O(m) states.  e is an edge of F with fewest
+    neighbours in F (the first with at most one is taken at once).  If one
+    branch dominates all of F, need(F) = 1; otherwise every child is
+    nonempty, need(F) >= 2, and the branches stop at a child of need 1.
+    The recursion keeps its own stack of frames, so no input reaches
+    Python's recursion limit.
+
+    **Witness.**  A depth-first search visits the size-gamma' sets in
+    lexicographic order, edge index by edge index, and returns the first
+    that dominates: the lexicographically least minimum set.  It skips a
+    candidate e when need(F - N[e]) exceeds the slots left after it, since
+    the rest of the set must dominate F - N[e] whatever its indices.  It
+    leaves a prefix once some undominated edge t has no closed neighbour
+    at or above the next candidate (``below[e]`` holds the t with
+    ``masks[t].bit_length() <= e``): no later edge can dominate t.  Both
+    cuts drop only prefixes without a dominating completion.  A graph
+    without edges has need 0 and the empty witness.
     """
     masks = g.closed_edge_masks()
-    full = g.full_edge_mask
-    edges, m = g.edges, g.m
+    m = len(masks)
+    full = (1 << m) - 1
+    memo = {0: 0}
 
-    def matching_dominates(start: int, used: int, cover: int, left: int) -> bool:
-        """True iff ``left`` more edges from index ``start`` on, disjoint from
-        ``used`` and from each other, complete ``cover`` to every edge."""
-        for e in range(start, m - left + 1):
-            u, v = edges[e]
-            if not used >> u & 1 and not used >> v & 1:
-                if left == 1:
-                    if cover | masks[e] == full:
-                        return True
-                elif matching_dominates(e + 1, used | 1 << u | 1 << v, cover | masks[e], left - 1):
-                    return True
-        return False
+    def branches(f: int) -> int:
+        """The branch edges of ``f`` as a mask, or 0 when one of them
+        dominates all of ``f``."""
+        fewest, rest = m + 1, f
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            around = masks[bit.bit_length() - 1] & f
+            d = around.bit_count()
+            if d < fewest:
+                fewest, best, pick = d, around, bit
+                if d <= 2:
+                    break
+        if best == f:
+            return 0
+        todo, rest = best, best ^ pick
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            cover = masks[bit.bit_length() - 1] & f
+            if cover == f:
+                return 0
+            if not best & ~cover:
+                todo = best ^ pick
+        return todo
 
-    for size in range(1, m + 1):
-        if matching_dominates(0, 0, 0, size):
-            for head in combinations(range(m), size - 1):
-                cover = _cover_mask(masks, head)
-                for last in range(head[-1] + 1 if head else 0, m):
-                    if cover | masks[last] == full:
-                        return DominationResult(size, frozenset((*head, last)))
-    return DominationResult(0, frozenset())
+    def need(f: int) -> int:
+        value = memo.get(f)
+        frames: list[list[int]] = []  # [edge set, branches left, least child need]
+        while True:
+            if value is None:
+                todo = branches(f)
+                if todo:
+                    frames.append([f, todo, m])
+                else:
+                    value = memo[f] = 1
+            if value is not None:
+                if not frames:
+                    return value
+                if value < frames[-1][2]:
+                    frames[-1][2] = value
+            frame = frames[-1]
+            f, todo, least = frame
+            if todo and least > 1:
+                bit = todo & -todo
+                frame[1] = todo ^ bit
+                f &= ~masks[bit.bit_length() - 1]
+                value = memo.get(f)
+            else:
+                frames.pop()
+                value = memo[f] = least + 1
+
+    size = need(full)
+    if not size:
+        return DominationResult(0, frozenset())
+    below = [0] * (m + 1)
+    for t, mask in enumerate(masks):
+        below[mask.bit_length()] |= 1 << t
+    below = list(accumulate(below, or_))
+    chosen: list[tuple[int, int]] = []  # (edge, undominated before it)
+    e, left, undominated = 0, size, full
+    while True:
+        while e < m and not undominated & below[e]:
+            rest = undominated & ~masks[e]
+            if not rest:
+                return DominationResult(size, frozenset(c for c, _ in chosen) | {e})
+            if left > 1 and need(rest) < left:
+                chosen.append((e, undominated))
+                e, left, undominated = e + 1, left - 1, rest
+                continue
+            e += 1
+        e, undominated = chosen.pop()
+        e += 1
+        left += 1
 
 
 def vertex_domination_number(g: Graph) -> int:

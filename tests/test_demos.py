@@ -1,4 +1,4 @@
-"""Smoke test: the quick demos run to completion against the library."""
+"""Smoke test: every demo runs to completion against the library."""
 
 import os
 import subprocess
@@ -9,8 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 02_family_tables.py is left out: it takes several seconds.
-DEMOS = ["01_first_coalitions.py", "03_coalition_graphs.py", "04_characterizations_and_bounds.py"]
+DEMOS = [
+    "01_first_coalitions.py",
+    "02_family_tables.py",
+    "03_coalition_graphs.py",
+    "04_characterizations_and_bounds.py",
+]
 
 
 def _run(demo: str) -> str:

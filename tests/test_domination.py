@@ -1,5 +1,6 @@
 """Tests for edge-dominating-set predicates and domination numbers."""
 
+import json
 import math
 from itertools import combinations
 
@@ -41,6 +42,15 @@ def _subset_scan(g: Graph) -> tuple[int, frozenset[int]]:
             if cover == full:
                 return size, frozenset(combo)
     return 0, frozenset()
+
+
+@st.composite
+def dense_graphs(draw, max_n=8):
+    """A complete graph on 4..``max_n`` vertices with at most three edges removed."""
+    n = draw(st.integers(min_value=4, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=3))
+    return Graph(n, [p for p in pairs if p not in missing])
 
 
 class TestIsEdgeDominatingSet:
@@ -173,14 +183,45 @@ class TestEdgeDominationNumber:
     @pytest.mark.parametrize(
         "graph,witness",
         [
-            # Lex-least minimum sets; neither is the first dominating matching.
+            # Lex-least minimum sets, each computed by the size-by-size
+            # matching scan that the memoized search replaced; the first two
+            # are not the first dominating matching.
             (complete_graph(12), (0, 1, 30, 45, 56, 63)),
             (complete_bipartite(6, 6), (0, 1, 2, 3, 4, 5)),
+            (complete_graph(13), (0, 23, 42, 57, 68, 75)),
+            (complete_bipartite(7, 7), range(7)),
+            (complete_bipartite(8, 8), range(8)),
+            (path_graph(30), range(0, 28, 3)),
+            (cycle_graph(29), range(0, 28, 3)),
         ],
     )
     def test_pinned_dense_witnesses(self, graph, witness):
         result = edge_domination_number(graph)
-        assert (result.gamma_prime, result.witness) == (6, frozenset(witness))
+        assert (result.gamma_prime, result.witness) == (len(witness), frozenset(witness))
+
+    def test_paths_and_cycles_closed_forms(self):
+        for n in range(2, 201):
+            assert edge_domination_number(path_graph(n)).gamma_prime == math.ceil((n - 1) / 3)
+        for n in range(3, 201):
+            assert edge_domination_number(cycle_graph(n)).gamma_prime == math.ceil(n / 3)
+
+    def test_cli_answers_path_2500(self, capsys):
+        # gamma' = 833 is deeper than Python's recursion limit; the search
+        # keeps its own stack.  Edge 0 cannot start the witness: it leaves
+        # edges 2..2498 undominated, and those 2,497 edges need 833 more.
+        assert main(["gamma", "--family", "path:2500", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"gamma_prime": 833, "witness": list(range(1, 2499, 3))}
+
+    @settings(max_examples=60)
+    @given(st.one_of(small_graphs(max_n=7, min_m=1), dense_graphs()), st.data())
+    def test_relabelled_shuffled_graphs_match_subset_scan(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        edges = data.draw(st.permutations([(perm[u], perm[v]) for u, v in g.edges]))
+        h = Graph(g.n, edges)
+        result = edge_domination_number(h)
+        assert (result.gamma_prime, result.witness) == _subset_scan(h)
 
     def test_cli_json_on_k12(self, capsys):
         assert main(["gamma", "--family", "complete:12", "--format", "json"]) == 0
