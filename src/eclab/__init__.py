@@ -2,8 +2,8 @@
 
 The library is organized in thin layers:
 
-* :mod:`eclab.graphs`: immutable simple graphs, edge neighborhoods, line
-  graphs, metrics, small-graph isomorphism, edge-list text I/O;
+* :mod:`eclab.graphs`: immutable simple graphs, full edges, line graphs,
+  metrics, small-graph isomorphism, edge-list text I/O;
 * :mod:`eclab.domination`: edge-dominating-set predicates and the exact
   edge/vertex domination numbers;
 * :mod:`eclab.coalition`: coalition predicate, ec-partition verification
@@ -41,7 +41,6 @@ from .domination import (
     DominationResult,
     edge_domination_number,
     is_edge_dominating_set,
-    is_minimal_edge_dominating_set,
     vertex_domination_number,
 )
 from .families import (
@@ -60,11 +59,9 @@ from .families import (
     theta_recognizer,
 )
 from .graphs import (
-    EdgeNeighborhood,
     Graph,
     GraphMetrics,
     are_isomorphic,
-    edge_neighborhood,
     format_edge_list,
     graph_metrics,
     is_full_edge,
@@ -83,7 +80,6 @@ __all__ = [
     "EcCertificate",
     "EcRejection",
     "EcResult",
-    "EdgeNeighborhood",
     "FamilySpec",
     "FullEdgeSingleton",
     "Graph",
@@ -104,7 +100,6 @@ __all__ = [
     "edge_coalition_lower_bound",
     "edge_coalition_number",
     "edge_domination_number",
-    "edge_neighborhood",
     "enumerate_corpus",
     "export_corpus",
     "forms_edge_coalition",
@@ -114,7 +109,6 @@ __all__ = [
     "is_ec_partition",
     "is_edge_dominating_set",
     "is_full_edge",
-    "is_minimal_edge_dominating_set",
     "is_self_edge_coalition_graph",
     "is_singleton_ec_graph",
     "line_graph",

@@ -1,4 +1,4 @@
-"""Edge-dominating sets, minimality, and exact domination numbers.
+"""Edge-dominating sets and exact domination numbers.
 
 An edge set D dominates when every edge outside D shares an endpoint with
 some member of D.  Edges inside D are never themselves required to be
@@ -10,8 +10,7 @@ the empty set dominates exactly when the graph has no edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
-from operator import or_
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GraphMismatch
@@ -42,16 +41,6 @@ def is_edge_dominating_set(g: Graph, members: Iterable[int]) -> bool:
     """True iff every edge outside the set has a neighbor inside it."""
     s = check_edge_set(g, members)
     return _cover_mask(g.closed_edge_masks(), s) == g.full_edge_mask
-
-
-def is_minimal_edge_dominating_set(g: Graph, members: Iterable[int]) -> bool:
-    """True iff the set dominates and no single member can be dropped."""
-    s = check_edge_set(g, members)
-    closed = g.closed_edge_masks()
-    full = g.full_edge_mask
-    if _cover_mask(closed, s) != full:
-        return False
-    return all(_cover_mask(closed, s - {e}) != full for e in s)
 
 
 @dataclass(frozen=True)
@@ -89,16 +78,22 @@ def edge_domination_number(g: Graph) -> DominationResult:
     The recursion keeps its own stack of frames, so no input reaches
     Python's recursion limit.
 
-    **Witness.**  A depth-first search visits the size-gamma' sets in
-    lexicographic order, edge index by edge index, and returns the first
-    that dominates: the lexicographically least minimum set.  It skips a
-    candidate e when need(F - N[e]) exceeds the slots left after it, since
-    the rest of the set must dominate F - N[e] whatever its indices.  It
-    leaves a prefix once some undominated edge t has no closed neighbour
-    at or above the next candidate (``below[e]`` holds the t with
-    ``masks[t].bit_length() <= e``): no later edge can dominate t.  Both
-    cuts drop only prefixes without a dominating completion.  A graph
-    without edges has need 0 and the empty witness.
+    **Witness.**  One forward scan over the edge indices keeps the
+    undominated set U and the slots left L, from U = E and L = gamma'.  It
+    takes edge e when rest = U - N[e] has need(rest) < L (an empty rest
+    has need 0), and stops once L is 0.  It never reaches a dead end: some
+    minimum dominating set D of each rest it takes lies wholly above e.  D
+    holds no edge taken before e, nor e, since those dominate nothing in
+    rest.  Suppose D held a skipped edge f, rejected at a step with
+    undominated set U_d and L_d slots left because need(U_d - N[f]) >= L_d.
+    The edges taken since that step, e, and D - {f} number at most
+    L_d - 1 and dominate U_d - N[f], against the rejection.  So the least
+    edge of D passes the test if no edge before it does.  A rejection of f
+    also means that no minimum set holds the edges taken so far and f, so
+    each edge the scan takes is the least next edge of any minimum set
+    with the prefix taken so far: the witness is the lexicographically
+    least minimum dominating set.  A graph without edges has need 0 and
+    the empty witness.
     """
     masks = g.closed_edge_masks()
     m = len(masks)
@@ -157,28 +152,15 @@ def edge_domination_number(g: Graph) -> DominationResult:
                 frames.pop()
                 value = memo[f] = least + 1
 
-    size = need(full)
-    if not size:
-        return DominationResult(0, frozenset())
-    below = [0] * (m + 1)
-    for t, mask in enumerate(masks):
-        below[mask.bit_length()] |= 1 << t
-    below = list(accumulate(below, or_))
-    chosen: list[tuple[int, int]] = []  # (edge, undominated before it)
-    e, left, undominated = 0, size, full
-    while True:
-        while e < m and not undominated & below[e]:
-            rest = undominated & ~masks[e]
-            if not rest:
-                return DominationResult(size, frozenset(c for c, _ in chosen) | {e})
-            if left > 1 and need(rest) < left:
-                chosen.append((e, undominated))
-                e, left, undominated = e + 1, left - 1, rest
-                continue
-            e += 1
-        e, undominated = chosen.pop()
+    size = left = need(full)
+    witness, undominated, e = [], full, 0
+    while left:
+        rest = undominated & ~masks[e]
+        if need(rest) < left:
+            witness.append(e)
+            left, undominated = left - 1, rest
         e += 1
-        left += 1
+    return DominationResult(size, frozenset(witness))
 
 
 def vertex_domination_number(g: Graph) -> int:

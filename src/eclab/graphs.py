@@ -170,25 +170,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class EdgeNeighborhood:
-    """Open neighborhood of one edge: every other edge sharing an endpoint."""
-
-    center: int
-    neighbors: frozenset[int]
-
-    @property
-    def degree(self) -> int:
-        """Edge degree of the center: the number of its neighbors."""
-        return len(self.neighbors)
-
-
-def edge_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
-    """Neighborhood of edge ``e`` in ``g``."""
-    mask = g.edge_neighbor_mask(e)
-    return EdgeNeighborhood(e, frozenset(f for f in range(g.m) if mask >> f & 1))
-
-
 def is_full_edge(g: Graph, e: int) -> bool:
     """True iff edge ``e`` is adjacent to every other edge (edge degree m-1)."""
     return g.edge_neighbor_mask(e).bit_count() == g.m - 1

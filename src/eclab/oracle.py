@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InvalidSpec, TooManyEdges
-from .graphs import Graph, _canonical_form, format_edge_list
+from .graphs import Graph, _canonical_form, _is_index, format_edge_list
 
 ORACLE_EDGE_CAP = 10
 
@@ -148,6 +148,8 @@ class CorpusSpec:
     classes: tuple[str, ...] = ("connected",)
 
     def __post_init__(self) -> None:
+        if not _is_index(self.max_vertices, float("inf")):
+            raise InvalidSpec(f"max_vertices must be a nonnegative int, got {self.max_vertices!r}")
         for cls in self.classes:
             if cls not in _CLASSES:
                 raise InvalidSpec(f"unknown corpus class {cls!r}")

@@ -346,6 +346,10 @@ class TestInputBoundary:
                 ["ec", "--family", "path:6", "--lower-bound", "--max-edges", "20"],
                 "error: --max-edges applies to exact mode only, not with --lower-bound\n",
             ),
+            (
+                ["corpus", "--classes", "trees", "--max-vertices", "-1", "--out-dir", "{tmp}/d"],
+                "error: max_vertices must be a nonnegative int, got -1\n",
+            ),
         ],
     )
     def test_usage_error(self, capsys, tmp_path, argv, message):

@@ -7,6 +7,7 @@ import operator
 import random
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -681,6 +682,22 @@ class TestFrontierMemo:
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
         assert coalition._find_partition_of_order(g, 6) == labels
         assert reads == []
+
+    def test_width_gate_keeps_wide_orders_out_of_the_memo(self):
+        # K4,4 has frontier width 12 and slack m - k = 4 at k = 12, so only
+        # the width gate keeps the memo off.  Traced, this find peaks at
+        # about 20 KiB with the gate and about 2 MiB without it.
+        g = complete_bipartite(4, 4)
+        g.closed_edge_masks()
+        g.twin_swaps()
+        tracemalloc.start()
+        try:
+            labels = coalition._find_partition_of_order(g, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels == [0, 1, 2, 3, 1, 0, 4, 5, 6, 7, 0, 8, 9, 10, 11, 1]
+        assert peak < 256 * 2**10, f"traced peak {peak / 2**10:.0f} KiB"
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -15,7 +15,6 @@ from eclab.domination import (
     edge_domination_number,
     gamma_prime_via_line_graph,
     is_edge_dominating_set,
-    is_minimal_edge_dominating_set,
     vertex_domination_number,
 )
 from eclab.errors import GraphMismatch
@@ -87,10 +86,9 @@ class TestIsEdgeDominatingSet:
         [
             lambda g: is_edge_dominating_set(g, [[0]]),
             lambda g: is_edge_dominating_set(g, 5),
-            lambda g: is_minimal_edge_dominating_set(g, [[0]]),
             lambda g: forms_edge_coalition(g, [[0]], {2}),
         ],
-        ids=["unhashable", "not-iterable", "minimal", "coalition"],
+        ids=["unhashable", "not-iterable", "coalition"],
     )
     def test_malformed_edge_sets_are_a_graph_mismatch(self, call):
         # Unhashable members and non-iterables fail inside frozenset();
@@ -105,26 +103,6 @@ class TestIsEdgeDominatingSet:
         extra = data.draw(st.sets(st.integers(0, g.m - 1)))
         if is_edge_dominating_set(g, base):
             assert is_edge_dominating_set(g, base | extra)
-
-
-class TestMinimality:
-    def test_p4_middle_edge_is_minimal(self):
-        assert is_minimal_edge_dominating_set(path_graph(4), {1})
-
-    def test_p4_two_edges_not_minimal(self):
-        assert not is_minimal_edge_dominating_set(path_graph(4), {0, 1})
-
-    def test_k23_parallel_classes_minimal(self):
-        # In complete_bipartite(2, 3) the two edges into one right-side
-        # vertex form a minimal edge dominating set.
-        g = complete_bipartite(2, 3)
-        for right in (2, 3, 4):
-            members = {e for e, (u, v) in enumerate(g.edges) if v == right}
-            assert len(members) == 2
-            assert is_minimal_edge_dominating_set(g, members)
-
-    def test_non_dominating_set_is_not_minimal(self):
-        assert not is_minimal_edge_dominating_set(path_graph(6), {0})
 
 
 class TestEdgeDominationNumber:
@@ -144,7 +122,6 @@ class TestEdgeDominationNumber:
     def test_witness_is_minimal_and_lex_least(self):
         g = cycle_graph(6)
         result = edge_domination_number(g)
-        assert is_minimal_edge_dominating_set(g, result.witness)
         # Recompute the lexicographically least minimum by direct scan.
         for combo in combinations(range(g.m), result.gamma_prime):
             if is_edge_dominating_set(g, combo):

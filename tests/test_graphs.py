@@ -32,7 +32,6 @@ from eclab.families import (
 from eclab.graphs import (
     Graph,
     are_isomorphic,
-    edge_neighborhood,
     format_edge_list,
     graph_metrics,
     is_full_edge,
@@ -177,25 +176,23 @@ class TestConstruction:
 class TestEdgeNeighborhood:
     def test_p4_middle_edge(self):
         g = path_graph(4)
-        nb = edge_neighborhood(g, 1)
-        assert nb.neighbors == frozenset({0, 2})
-        assert nb.degree == 2
+        assert g.edge_neighbor_mask(1) == 0b101
 
     def test_k4_every_edge_has_four_neighbors(self):
         g = complete_graph(4)
         for e in range(g.m):
-            assert edge_neighborhood(g, e).degree == 4
+            assert g.edge_neighbor_mask(e).bit_count() == 4
 
     def test_star_edges_have_m_minus_1_neighbors(self):
         g = star_graph(4)
         for e in range(g.m):
-            assert edge_neighborhood(g, e).degree == g.m - 1
+            assert g.edge_neighbor_mask(e).bit_count() == g.m - 1
 
     @pytest.mark.parametrize("e", [2, -1, True, "a", 1.0, None])
     def test_index_out_of_range(self, e):
         # Only a plain int in 0..m-1 names an edge: True and 1.0 are not edge 1.
         with pytest.raises(EdgeIndexOutOfRange):
-            edge_neighborhood(path_graph(3), e)
+            path_graph(3).edge_neighbor_mask(e)
 
     @settings(max_examples=60)
     @given(small_graphs())
@@ -233,11 +230,11 @@ class TestEdgeNeighborhood:
     @settings(max_examples=60)
     @given(small_graphs())
     def test_neighbor_symmetry_and_irreflexivity(self, g):
-        hoods = [edge_neighborhood(g, e).neighbors for e in range(g.m)]
+        hoods = [g.edge_neighbor_mask(e) for e in range(g.m)]
         for e in range(g.m):
-            assert e not in hoods[e]
-            for f in hoods[e]:
-                assert e in hoods[f]
+            assert not hoods[e] >> e & 1
+            for f in range(g.m):
+                assert hoods[e] >> f & 1 == hoods[f] >> e & 1
 
 
 class TestFullEdges:

@@ -348,6 +348,13 @@ class TestCorpusApi:
             graphs_of_order("trees", 14)
         CorpusSpec(13, ("trees",))  # allowed
 
+    @pytest.mark.parametrize("max_vertices", [-1, True, 2.5, "3", None])
+    def test_max_vertices_must_be_a_nonnegative_int(self, max_vertices):
+        # Unchecked, -1 gives an empty corpus, True the order-1 one, and 2.5
+        # or "3" a bare TypeError from the cap comparison.
+        with pytest.raises(InvalidSpec, match="max_vertices must be a nonnegative int"):
+            CorpusSpec(max_vertices, ("trees",))
+
     def test_repeated_class_rejected(self):
         # A second export pass over a class would overwrite the first one's files.
         with pytest.raises(InvalidSpec, match="'trees' is listed more than once"):
