@@ -2,11 +2,12 @@
 
 The brute-force coalition number below deliberately shares no code with
 the optimized solver or the domination module: adjacency is rebuilt from
-the raw vertex pairs, domination is a direct scan of the definition, and
-set partitions are tried order by order from m down, so every partition
-with more blocks than the answer is checked against the definition and
-nothing is pruned by graph structure.  A bug in the fast path therefore
-cannot hide behind a shared helper.
+the raw vertex pairs into one int bit mask per edge, domination is a direct
+scan of the definition whose verdict is kept per graph keyed by the edge
+set's mask, and set partitions are tried order by order from m down, so
+every partition with more blocks than the answer is checked against the
+definition and nothing is pruned by graph structure.  A bug in the fast
+path therefore cannot hide behind a shared helper.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InvalidSpec, TooManyEdges
 from .graphs import Graph, _canonical_form, _is_index, format_edge_list
@@ -31,49 +32,62 @@ _CLASSES = {
 }
 
 
-def _edge_neighbor_sets(g: Graph) -> list[set[int]]:
-    """Edge adjacency rebuilt from the raw vertex pairs (oracle's own route)."""
+def _edge_neighbor_masks(g: Graph) -> list[int]:
+    """Open edge neighbourhoods as bit masks (bit j of entry i: edges i and j
+    share an endpoint), rebuilt from the raw vertex pairs (oracle's own route)."""
     m = g.m
     edges = g.edges
-    neighbors: list[set[int]] = [set() for _ in range(m)]
+    neighbors = [0] * m
     for i in range(m):
         ui, vi = edges[i]
         for j in range(i + 1, m):
             uj, vj = edges[j]
             if ui in (uj, vj) or vi in (uj, vj):
-                neighbors[i].add(j)
-                neighbors[j].add(i)
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
     return neighbors
 
 
-def _make_dominating_check(g: Graph):
-    neighbors = _edge_neighbor_sets(g)
-    m = g.m
-    cache: dict[frozenset[int], bool] = {}
+class _Verdicts(dict):
+    """Edge-set mask -> whether that set dominates, scanned from the
+    definition on first ask and kept: every edge is in the set or has a
+    neighbour in it."""
 
-    def dominating(members: frozenset[int]) -> bool:
-        cached = cache.get(members)
-        if cached is not None:
-            return cached
+    def __init__(self, neighbors: list[int]) -> None:
+        self.neighbors = neighbors
+
+    def __missing__(self, mask: int) -> bool:
         answer = True
-        for e in range(m):
-            if e not in members and not neighbors[e] & members:
+        for e, around in enumerate(self.neighbors):
+            if not (mask >> e & 1 or around & mask):
                 answer = False
                 break
-        cache[members] = answer
+        self[mask] = answer
         return answer
 
-    return dominating
+
+def _make_dominating_check(g: Graph) -> Callable[[int], bool]:
+    """``dominating(mask)`` for edge sets of ``g``, one verdict cache per graph."""
+    return _Verdicts(_edge_neighbor_masks(g)).__getitem__
 
 
-def _blocks_satisfy_definition(blocks: list[frozenset[int]], dominating) -> bool:
-    for i, block in enumerate(blocks):
+def _blocks_satisfy_definition(blocks: list[int], dominating) -> bool:
+    """The block conditions on a partition given as block masks: a dominating
+    block is a single edge, and every other block has a non-dominating
+    partner whose union with it dominates.  Each block's own verdict is
+    asked once."""
+    lone = []
+    for block in blocks:
         if dominating(block):
-            if len(block) != 1:
+            if block & (block - 1):
                 return False
-            continue
-        for j, other in enumerate(blocks):
-            if j != i and not dominating(other) and dominating(block | other):
+        else:
+            lone.append(block)
+    for block in lone:
+        # Trying the block as its own partner is harmless: block | block is
+        # the block itself, which does not dominate.
+        for other in lone:
+            if dominating(block | other):
                 break
         else:
             return False
@@ -82,9 +96,28 @@ def _blocks_satisfy_definition(blocks: list[frozenset[int]], dominating) -> bool
 
 def accepts_partition(g: Graph, blocks) -> bool:
     """Definition-level validity of an edge partition, independent of the
-    solver's verifier (used for double-entry bookkeeping in tests)."""
-    normalized = [frozenset(b) for b in blocks]
-    return _blocks_satisfy_definition(normalized, _make_dominating_check(g))
+    solver's verifier (used for double-entry bookkeeping in tests).
+
+    False unless every block is a nonempty collection of edge indices of
+    ``g``, no two blocks share an edge and the blocks cover every edge.
+    """
+    m = g.m
+    masks = []
+    covered = 0
+    for block in blocks:
+        mask = 0
+        for e in block:
+            if not _is_index(e, m):
+                return False
+            mask |= 1 << e
+        if not mask or mask & covered:
+            return False
+        covered |= mask
+        masks.append(mask)
+    # A graph with no edges has no edge partitions.
+    if not masks or covered != (1 << m) - 1:
+        return False
+    return _blocks_satisfy_definition(masks, _make_dominating_check(g))
 
 
 def brute_force_ec(g: Graph) -> int:
@@ -94,7 +127,9 @@ def brute_force_ec(g: Graph) -> int:
     Orders are tried from m down and the first one with a satisfying
     partition is returned, so that order is the maximum.  Every partition
     with more blocks than the answer is checked; none is skipped by graph
-    structure.
+    structure.  Blocks are int masks over the edge indices, and a graph's
+    domination verdicts are cached by mask, never tabulated over all 2^m
+    edge sets.
     """
     m = g.m
     if not 1 <= m <= ORACLE_EDGE_CAP:
@@ -103,14 +138,15 @@ def brute_force_ec(g: Graph) -> int:
 
     for k in range(m, 0, -1):
         for blocks in _set_partitions(m, k):
-            if _blocks_satisfy_definition([frozenset(b) for b in blocks], dominating):
+            if _blocks_satisfy_definition(blocks, dominating):
                 return k
     return 0
 
 
-def _set_partitions(m: int, k: int) -> Iterator[list[list[int]]]:
-    """Each partition of range(m) into exactly k blocks, once, for
-    1 <= k <= m (S(m, k) of them; Knuth, TAOCP 4A, 7.2.1.5).
+def _set_partitions(m: int, k: int) -> Iterator[list[int]]:
+    """Each partition of range(m) into exactly k blocks, once, as a list of
+    block bit masks, for 1 <= k <= m (S(m, k) of them; Knuth, TAOCP 4A,
+    7.2.1.5), in lexicographic order of restricted-growth strings.
 
     Edges are placed in increasing order and blocks are kept in order of
     their least edge.  Edge e joins an open block only while the edges
@@ -118,19 +154,20 @@ def _set_partitions(m: int, k: int) -> Iterator[list[list[int]]]:
     while fewer than k are open, so every leaf has exactly k blocks.
     Yields the internal buffer; consume each value before advancing.
     """
-    blocks: list[list[int]] = []
+    blocks: list[int] = []
 
-    def rec(e: int) -> Iterator[list[list[int]]]:
+    def rec(e: int) -> Iterator[list[int]]:
         if e == m:
             yield blocks
             return
+        bit = 1 << e
         if len(blocks) + (m - e) > k:
-            for block in blocks:
-                block.append(e)
+            for i in range(len(blocks)):
+                blocks[i] |= bit
                 yield from rec(e + 1)
-                block.pop()
+                blocks[i] ^= bit
         if len(blocks) < k:
-            blocks.append([e])
+            blocks.append(bit)
             yield from rec(e + 1)
             blocks.pop()
 

@@ -11,13 +11,14 @@ import ast
 import hashlib
 from itertools import combinations, permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eclab.coalition import edge_coalition_number, is_ec_partition, validate_partition
-from eclab.errors import BudgetExceeded, InvalidSpec, TooManyEdges
+from eclab.errors import BudgetExceeded, InvalidPartition, InvalidSpec, TooManyEdges
 from eclab.families import cycle_graph, diamond_graph, path_graph, star_graph
 from eclab.graphs import Graph, are_isomorphic
 import eclab.graphs
@@ -175,6 +176,61 @@ class TestBruteForce:
         blocks = validate_partition(g, tuple(groups.values()))
         assert accepts_partition(g, blocks) == bool(is_ec_partition(g, blocks))
 
+    @settings(max_examples=200)
+    @given(small_graphs(), st.data())
+    def test_accepts_only_partitions(self, g, data):
+        # Arbitrary lists of int lists (out-of-range values, repeats, empty
+        # blocks, bools), half of them a valid partition with a few edits.
+        member = st.one_of(st.integers(-1, g.m + 1), st.booleans())
+        arbitrary = st.lists(st.lists(member, max_size=4), max_size=6)
+        blocks = data.draw(st.one_of(arbitrary, _edited_partitions(g.m, member)))
+        try:
+            validate_partition(g, blocks)
+        except InvalidPartition:
+            expected = False
+        else:
+            expected = bool(is_ec_partition(g, blocks))
+        assert accepts_partition(g, blocks) == expected
+
+    def test_rejects_a_dropped_or_repeated_edge(self):
+        star = star_graph(3)
+        assert accepts_partition(star, [[0], [1], [2]])
+        assert not accepts_partition(star, [[0]])
+        assert not accepts_partition(star, [[0], [0], [1], [2]])
+        assert not accepts_partition(Graph(2), [])
+
+    def test_every_partition_of_a_refuted_order_is_checked(self):
+        check = eclab.oracle._blocks_satisfy_definition
+        with mock.patch.object(eclab.oracle, "_blocks_satisfy_definition", wraps=check) as spy:
+            assert brute_force_ec(path_graph(9)) == 5
+        # All 1 + 28 + 266 partitions of orders 8, 7 and 6, then the first 164
+        # of order 5 in restricted-growth order.
+        assert spy.call_count == 459
+
+
+@st.composite
+def _edited_partitions(draw, m, member):
+    """A partition of range(m) with up to two edits: an edge dropped, an
+    edge repeated in another block, an empty block added, or a member
+    replaced by any value ``member`` draws."""
+    labels = draw(st.lists(st.integers(0, max(0, m - 1)), min_size=m, max_size=m))
+    blocks = [[e for e, b in enumerate(labels) if b == label] for label in sorted(set(labels))]
+    for _ in range(draw(st.integers(0, 2))):
+        if not blocks:
+            break
+        i = draw(st.integers(0, len(blocks) - 1))
+        kind = draw(st.sampled_from(("drop", "repeat", "empty", "replace")))
+        if kind == "drop" and blocks[i]:
+            blocks[i].pop(draw(st.integers(0, len(blocks[i]) - 1)))
+        elif kind == "repeat" and blocks[i]:
+            j = draw(st.integers(0, len(blocks) - 1))
+            blocks[j].append(draw(st.sampled_from(blocks[i])))
+        elif kind == "empty":
+            blocks.insert(i, [])
+        elif blocks[i]:
+            blocks[i][draw(st.integers(0, len(blocks[i]) - 1))] = draw(member)
+    return blocks
+
 
 def _stirling2(m: int, k: int) -> int:
     """S(m, k) by the recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1)."""
@@ -194,8 +250,9 @@ class TestSetPartitions:
             for blocks in _set_partitions(m, k):
                 count += 1
                 assert len(blocks) == k and all(blocks)
-                assert sorted(e for b in blocks for e in b) == list(range(m))
-                seen.add(frozenset(frozenset(b) for b in blocks))
+                members = [[e for e in range(m) if mask >> e & 1] for mask in blocks]
+                assert sorted(e for b in members for e in b) == list(range(m))
+                seen.add(frozenset(blocks))
             assert count == len(seen) == _stirling2(m, k), (m, k)
 
 
@@ -217,6 +274,24 @@ class TestIndependence:
         assert imported, "no imports parsed"
         for name in imported:
             assert not forbidden & set(name.split(".")), name
+
+    def test_oracle_builds_its_own_masks(self):
+        # The oracle's edge masks come from its own pair loop, never from the
+        # masks and twin swaps the solver reads off the Graph.
+        source = Path(eclab.oracle.__file__).read_text()
+        assert _solver_mask_attributes(source) == []
+        borrowed = source + "\n\ndef _borrowed(g):\n    return g.closed_edge_masks()\n"
+        assert _solver_mask_attributes(borrowed) == ["closed_edge_masks"]
+
+
+def _solver_mask_attributes(source: str) -> list[str]:
+    """Attributes of the solver's edge masks that ``source`` reads."""
+    solver_masks = {"closed_edge_masks", "edge_neighbor_mask", "full_edge_mask", "twin_swaps"}
+    return [
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in solver_masks
+    ]
 
 
 class TestCorpusCounts:
