@@ -180,7 +180,7 @@ class TestBruteForce:
     @given(small_graphs(), st.data())
     def test_accepts_only_partitions(self, g, data):
         # Arbitrary lists of int lists (out-of-range values, repeats, empty
-        # blocks, bools), half of them a valid partition with a few edits.
+        # blocks, bools), or a valid partition with up to two edits.
         member = st.one_of(st.integers(-1, g.m + 1), st.booleans())
         arbitrary = st.lists(st.lists(member, max_size=4), max_size=6)
         blocks = data.draw(st.one_of(arbitrary, _edited_partitions(g.m, member)))
