@@ -51,7 +51,8 @@ def _edge_neighbor_masks(g: Graph) -> list[int]:
 class _Verdicts(dict):
     """Edge-set mask -> whether that set dominates, scanned from the
     definition on first ask and kept: every edge is in the set or has a
-    neighbour in it."""
+    neighbour in it.  A dict subclass so that a hit is a bare lookup with
+    no Python-level call."""
 
     def __init__(self, neighbors: list[int]) -> None:
         self.neighbors = neighbors
