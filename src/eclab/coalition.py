@@ -121,16 +121,21 @@ def validate_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> Blocks:
     if g.m == 0:
         raise InvalidPartition("a graph with no edges has no edge partitions")
     try:
-        normalized = tuple(frozenset(b) for b in blocks)
+        # Building a set keeps only one of 0 and False, or of 1 and True, so
+        # a block that is not a set yet is index-checked member by member as
+        # given.  A frozenset block stays the same object.
+        given = [b if isinstance(b, (set, frozenset)) else list(b) for b in blocks]
+        normalized = tuple(frozenset(b) for b in given)
     except TypeError as exc:
         raise InvalidPartition(f"blocks must be sets of edge indices: {exc}") from exc
     seen = 0
     for i, block in enumerate(normalized):
         if not block:
             raise InvalidPartition(f"block {i} is empty")
-        for e in block:
+        for e in given[i]:
             if not _is_index(e, g.m):
                 raise InvalidPartition(f"block {i} references nonexistent edge {e!r}")
+        for e in block:
             bit = 1 << e
             if seen & bit:
                 raise InvalidPartition(f"edge {e} appears in more than one block")
@@ -242,27 +247,56 @@ class _SearchTimeout(Exception):
 def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> list[int] | None:
     """Lexicographically least restricted-growth string of a valid order-k
     partition, or None when the order is refuted.  Past ``deadline``, read
-    once per 4,096 nodes, it raises :class:`_SearchTimeout` instead.
+    once per 4,096 nodes, a completion test counting as one, it raises
+    :class:`_SearchTimeout` instead.
 
     Pruning rules, all sound for the strict block conditions:
       * a block that holds two or more edges must stay non-dominating;
-      * exactly k labels must remain reachable; with no slack left, the edge
-        opens a new block;
+      * no label reaches k, and a prefix with no slack is settled by the
+        completion test below;
       * every block must keep a *potential* partner: the part of its
         deficiency that no remaining edge can cover must already be covered
         by some other existing block that is not itself dominating (that
         part lies outside the block's own cover, so it is never its own);
       * no twin swap may map the labeling onto a lex-smaller one.
 
-    The slack at edge i is used + (m - i) - k.  At 0, edge i going into an
-    existing block leaves a child with used + (m - i - 1) = k - 1 < k, which
-    the count refutes on entry, so only the new block ``used`` is tried.  The
-    skipped branches hold no solution and the remaining ones keep their
-    order, so the lex-least witness is unchanged; what is saved is the
-    partner check each skipped child would pay before it is refuted.  An
-    existing block lowers the slack by one and a new block keeps it, so once
-    k <= m makes it at least 0 at the root it never drops below 0; k > m is
-    refuted on entry.
+    Completion test.  The slack after edges 0..j-1 are labelled is
+    used + (m - j) - k, the number of remaining edges that may still join an
+    existing block.  An existing block lowers it by one and a new block
+    keeps it.  At slack 0 the k - used remaining edges must open the
+    k - used missing blocks, one each, so the prefix has exactly one
+    completion, labels[j:] = used, ..., k - 1.  That prefix is never entered
+    as a node: its completion is tested in place, and the test counts as one
+    node toward the clock read.  At k = m the root itself has slack 0 and
+    the test runs with j = 0; k > m has slack below 0 there and is refuted
+    on entry.  Every node entered has slack at least 1, so its children have
+    slack at least 0, and depth m is never entered.
+
+    The completion's blocks have the covers covers[:used] and N[f] for each
+    edge f >= j.  A block of two or more edges was kept non-dominating as
+    each edge joined it, and a full one-edge block needs no partner, so the
+    completion is an ec-partition exactly when every non-full final cover
+    has a non-full final cover whose union with it is full.  The test drops
+    both "non-full"s and asks that every final cover have some final cover
+    whose union with it is full, which is the same.  A full cover has one,
+    itself.  A non-full block X whose union with a full one-edge block {uv}
+    is full has a non-full partner too: every edge meets u or v, and X
+    cannot hold an edge at u and an edge at v, or it would dominate; say its
+    edges meet u.  Then X covers every edge at u, so an edge X misses is an
+    edge vt with t on no edge of X.  The block of vt covers every edge at v,
+    so its union with X is full, and it does not dominate: as a single edge
+    vt misses the edges of X, and a larger block never dominates.
+
+    Walking the forced tail one edge at a time would reach the same verdict,
+    since every prune on the way is a necessary condition of the test: a new
+    block is never cut as dominating, ``partners_feasible`` asks only for a
+    potential partner, and a memo hit is a recorded failure.  The twin walks
+    are not advanced into the tail.  If one would cut a completion L that is an ec-partition, L
+    has a lex-smaller automorphic image of order k; the search meets
+    labelings in lex order and never cuts the lex-least witness, so it
+    returned a witness no larger than that image before it reached L.  A
+    completion that passes is therefore the lex-least witness, the same one
+    the walked tail returns.
 
     Twin swaps (lex-leader symmetry breaking; Crawford, Ginsberg, Luks and
     Roy, KR 1996).  A swap p of :meth:`Graph.twin_swaps` is an automorphism
@@ -278,8 +312,8 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     it is not the lex-least one; the lex-least witness of the order has no
     smaller image and is never cut.  The search therefore returns the same
     witness, and refutes the same orders, as without this rule.  At k = m
-    the one labeling left, 0, 1, ..., m - 1, is its own image, so no swap
-    is walked there.
+    the completion test at the root decides the order, so no swap is walked
+    there.
 
     Each swap's comparison is a walk ``(p, f, due, seen, extra)`` passed
     down the recursion: L' agrees with L before edge f, and the walk
@@ -313,14 +347,16 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         is F_j & ~(covers[b] | covers[c]), which is 0 exactly when (b, c) is
         not dead and the two covers together hold F_j & rem[i]; ``need``
         itself is the case c = b;
-      * the slack count and the leaf test read only ``used``.
+      * the slack reads only ``used``, and a completion test decides what
+        ``partners_feasible`` decides at depth m on the completed labeling.
     Two nodes with equal keys therefore have subtrees with the same
     solutions, so a key whose subtree failed fails again.  A failure is
     recorded only at a node whose walk tuple is empty: no twin swap cuts its
-    subtree, so the failure means that no completion is an ec-partition of
-    order k, and a node with any walks may consult it.  Only failures are
-    stored and the children keep their order, so the search returns the same
-    witness, and refutes the same orders, as without the memo.  ``dead`` is
+    subtree and every completion test in it is exact, so the failure means
+    that no completion is an ec-partition of order k, and a node with any
+    walks may consult it.  Only failures are stored and the children keep
+    their order, so the search returns the same witness, and refutes the
+    same orders, as without the memo.  ``dead`` is
     a k*k-bit int, bit b*k + c for the pair (b, c), grown without a rescan:
     on entry to depth i, each edge y of fin[i], finalized by labelling edge
     i - 1, adds every pair inside the blocks that do not meet N[y].  Only
@@ -417,13 +453,29 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
 
     counter = 0
 
-    def rec(i: int, walks: tuple, dead: int) -> bool:
-        nonlocal counter, used
+    def tick() -> None:
+        nonlocal counter
         counter += 1
         if counter & 0xFFF == 0 and time.monotonic() > deadline:
             raise _SearchTimeout
-        if i == m:
-            return used == k  # partners_feasible(m) held before descending here
+
+    def completes(j: int) -> bool:
+        """The completion test of a prefix of edges 0..j-1 with no slack; on
+        a pass, labels[j:] holds the completion."""
+        tick()
+        finals = (*covers[:used], *closed[j:])
+        for x in finals:
+            for y in finals:
+                if x | y == full:
+                    break
+            else:
+                return False
+        labels[j:] = range(used, k)
+        return True
+
+    def rec(i: int, walks: tuple, dead: int) -> bool:
+        nonlocal used
+        tick()
         if memo is not None:
             for nbrs in fin[i]:
                 have = 0
@@ -439,24 +491,23 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
             key = (i, used, dead, boundary[i](labels))
             if key in memo:
                 return False
-        slack = used + (m - i) - k
         # Existing blocks, then a new one while fewer than k are open.
-        for b in range(used if slack == 0 else 0, used + (used < k)):
+        for b in range(used + (used < k)):
             old_cover = covers[b]
             new_cover = old_cover | closed[i]
             if old_cover and new_cover == full:
                 continue
             labels[i] = b
-            below = walks
-            if walks:
-                below = advance(walks, i)
-                if below is None:
-                    continue
             covers[b] = new_cover
             if not old_cover:
                 used += 1
-            if partners_feasible(i + 1) and rec(i + 1, below, dead):
-                return True
+            if used + (m - i - 1) == k:
+                if completes(i + 1):
+                    return True
+            else:
+                below = advance(walks, i) if walks else walks
+                if below is not None and partners_feasible(i + 1) and rec(i + 1, below, dead):
+                    return True
             covers[b] = old_cover
             if not old_cover:
                 used -= 1
@@ -464,8 +515,10 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
             memo.add(key)
         return False
 
+    if k == m:
+        return list(labels) if completes(0) else None
     # A walk is (p, f, due, seen, extra), with seen = -1 until its first step.
-    walks = tuple((p, first, p[first], -1, None) for first, p in g.twin_swaps()) if k < m else ()
+    walks = tuple((p, first, p[first], -1, None) for first, p in g.twin_swaps())
     return list(labels) if rec(0, walks, 0) else None
 
 

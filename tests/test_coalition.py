@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -180,6 +181,11 @@ class TestIsEcPartition:
         # bool is a subclass of int, so JSON true/false must be caught explicitly.
         with pytest.raises(InvalidPartition, match="nonexistent edge"):
             validate_partition(path_graph(3), [[True], [False]])
+        # A set of 0 and False, or of 1 and True, keeps only the first.
+        with pytest.raises(InvalidPartition, match="nonexistent edge False"):
+            validate_partition(path_graph(2), [[0, False]])
+        with pytest.raises(InvalidPartition, match="nonexistent edge True"):
+            validate_partition(path_graph(3), [[0], [1, True]])
 
     def test_unhashable_block_member_rejected(self):
         with pytest.raises(InvalidPartition, match="unhashable"):
@@ -355,11 +361,43 @@ class TestSolver:
     def test_dense_lex_least_witness(self, g, k, labels):
         assert coalition._find_partition_of_order(g, k) == labels
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(max_n=7, min_m=1, max_m=7), st.randoms(use_true_random=False))
+    # A path whose low orders run with the frontier memo, and twin-rich graphs.
+    @example(path_graph(8), random.Random(0))
+    @example(complete_bipartite(2, 3), random.Random(1))
+    @example(complete_graph(4), random.Random(2))
+    def test_lex_least_witness_against_plain_enumeration(self, g, rng):
+        # The reference is the first restricted-growth string in lex order
+        # whose blocks the oracle accepts, found with no prune at all.  Edge
+        # order decides which labeling is least, so shuffle it.
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        g = Graph(g.n, edges)
+        first: dict[int, list[int]] = {}
+        for labels in _restricted_growth_strings(g.m):
+            k = max(labels) + 1
+            blocks = [[e for e, b in enumerate(labels) if b == i] for i in range(k)]
+            if k not in first and accepts_partition(g, blocks):
+                first[k] = labels
+        orders = range(1, g.m + 1)
+        assert [coalition._find_partition_of_order(g, k) for k in orders] == [
+            first.get(k) for k in orders
+        ]
+
     @settings(max_examples=25, deadline=None)
     @given(small_graphs(min_m=1))
     def test_value_within_trivial_range(self, g):
         result = edge_coalition_number(g)
         assert 1 <= result.ec <= g.m
+
+
+def _restricted_growth_strings(m: int) -> list[list[int]]:
+    """Every restricted-growth string of length ``m``, in lex order."""
+    strings: list[list[int]] = [[]]
+    for _ in range(m):
+        strings = [s + [b] for s in strings for b in range(max(s, default=-1) + 2)]
+    return strings
 
 
 def _disjoint_union(*parts: Graph) -> Graph:
@@ -494,40 +532,80 @@ class TestPrefixPrunes:
         assert coalition._find_partition_of_order(path_graph(4), 2) is None
 
     def test_reachability(self):
-        # Without the k-block count the search returns [0, 0, 1, 1] for
-        # P5 at k = 3, with two blocks.
+        # Labels stay below k, and a prefix with no slack left opens a new
+        # block for each remaining edge, so every labeling has k blocks.
+        # Without that count the search returns [0, 0, 1, 1] for P5 at
+        # k = 3, with two blocks.
         assert coalition._find_partition_of_order(path_graph(5), 3) == [0, 0, 1, 2]
 
-    def test_partner_feasibility(self):
-        # Without this rule the search returns [0, 1, 2, 3, 4], the
-        # singleton partition, whose block 2 has no partner.
-        assert coalition._find_partition_of_order(P6, 5) is None
+    def test_partner_feasibility(self, monkeypatch):
+        # The completion test decides every labeling on its own, so this rule
+        # changes no result; it cuts prefixes whose blocks can no longer all
+        # find partners.  Clock reads bound the nodes as below: C11 at k = 7
+        # is refuted with 1 read, and with 7 without the rule.
+        reads = []
+        monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
+        assert coalition._find_partition_of_order(cycle_graph(11), 7) is None
+        assert len(reads) <= 1
 
     def test_pinned_p6_witness(self):
-        # Without partner feasibility the search returns [0, 0, 1, 2, 3].
+        # The lex-smaller [0, 0, 1, 2, 3] has four blocks too, but the block
+        # of edge 2 has no partner, so its completion test fails.
         assert coalition._find_partition_of_order(P6, 4) == [0, 1, 0, 2, 3]
 
     @pytest.mark.parametrize("g, k", [(cycle_graph(11), 7), (path_graph(13), 8)])
     def test_early_reachability_cut_bounds_the_nodes(self, monkeypatch, g, k):
-        # The search reads the clock once per 4,096 nodes, so the number of
-        # reads bounds the nodes.  These refutations take 1 read each;
-        # without the cut on unreachable k, that is without the block count
-        # and the no-slack rule, they take 28 and 67.
+        # The search reads the clock once per 4,096 nodes, a completion test
+        # counting as one, so the number of reads bounds the nodes.  These
+        # refutations take at most 1 read each; without the cut on
+        # unreachable k, that is without the block count and the completion
+        # test that settles a prefix with no slack, they take 28 and 67.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
         assert coalition._find_partition_of_order(g, k) is None
         assert len(reads) <= 8
 
     def test_no_slack_opens_a_new_block(self, monkeypatch):
-        # When exactly k - used edges remain, each must open a new block;
-        # a child that joins an existing block is refuted by the count, but
-        # only after its partner check.  Clock reads bound the nodes as
-        # above: K3,5 at k = 13 is refuted with 1 read, and with 13 when
-        # such children are still tried.
+        # When exactly k - used edges remain, each must open a new block, so
+        # the prefix has one completion, and the completion test decides it
+        # in place: every non-full block needs a non-full partner, and a
+        # full one-edge block needs none.  At k = m it decides the root.
+        assert coalition._find_partition_of_order(P6, 5) is None  # edge 2 alone
+        assert coalition._find_partition_of_order(star_graph(4), 4) == [0, 1, 2, 3]
+        # The star K1,4 with one edge added between two leaves: after
+        # [0, 1, 1] the completion puts the full edge 3 and edge 4 in blocks
+        # of their own, and the full one needs no partner.
+        cricket = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4)])
+        assert coalition._find_partition_of_order(cricket, 4) == [0, 1, 1, 2, 3]
+        # Each forced tail is one completion test and enters no node: K3,5
+        # at k = 13 is refuted in 42 nodes and 218 completion tests, where
+        # walking the tails edge by edge enters 235 nodes.  Clock reads bound
+        # the work as above, and it makes none.
+        entered = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "rec" and frame.f_globals is vars(coalition):
+                entered.append(1)
+
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
-        assert coalition._find_partition_of_order(complete_bipartite(3, 5), 13) is None
-        assert len(reads) <= 3
+        sys.setprofile(count)
+        try:
+            assert coalition._find_partition_of_order(complete_bipartite(3, 5), 13) is None
+        finally:
+            sys.setprofile(None)
+        assert len(entered) <= 42
+        assert reads == []
+
+    def test_completion_tests_read_the_clock(self, monkeypatch):
+        # Completion tests count toward the once-per-4,096 clock read, so a
+        # search made mostly of them still meets its deadline: K4,4 at
+        # k = 12 runs 1,851 nodes and 14,778 completion tests, and would
+        # read the clock no time at all from its nodes alone.
+        reads = []
+        monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
+        assert coalition._find_partition_of_order(complete_bipartite(4, 4), 12) is not None
+        assert len(reads) >= 4
 
     def test_order_above_m(self, monkeypatch):
         # No partition has more blocks than edges, so k = m + 1 is refuted
