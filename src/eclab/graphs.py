@@ -17,9 +17,9 @@ and lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -35,7 +35,8 @@ DEFAULT_ISO_VERTEX_CAP = 12
 
 def _is_index(x: object, size: float) -> bool:
     """True iff ``x`` is an int, not a bool, with 0 <= x < size."""
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < size
+    # bool cannot be subclassed, so the type test is the isinstance test.
+    return isinstance(x, int) and type(x) is not bool and 0 <= x < size
 
 
 class Graph:
@@ -55,7 +56,10 @@ class Graph:
         if not _is_index(n, float("inf")):
             raise OutOfRangeVertex(f"vertex count must be a nonnegative int, got {n!r}")
         pairs: dict[tuple[int, int], None] = {}  # insertion-ordered edge set
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # Neighbour lists for edge endpoints only: an isolated vertex costs one
+        # slot holding the shared empty tuple, so a header that declares
+        # millions of vertices stays small.
+        adj: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
             if not (_is_index(u, n) and _is_index(v, n)):
                 raise OutOfRangeVertex(f"edge ({u!r}, {v!r}) needs int endpoints in 0..{n - 1}")
@@ -69,7 +73,13 @@ class Graph:
             adj[v].append(u)
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        rows: list[tuple[int, ...]] = [()] * n
+        for v, row in adj.items():
+            row.sort()
+            rows[v] = tuple(row)
+        # Kept as this list, never changed again: a tuple copy would double
+        # the peak for a large n.
+        self._adj = rows
         self._closed: tuple[int, ...] | None = None
         self._twins: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
@@ -299,67 +309,91 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
             f"isomorphism test limited to {DEFAULT_ISO_VERTEX_CAP} vertices, "
             f"got {g1.n} and {g2.n}"
         )
-    return _canonical_form(g1)[0] == _canonical_form(g2)[0]
+    return _canonical_form(g1.n, g1.edges)[0] == _canonical_form(g2.n, g2.edges)[0]
 
 
 def _canonical_form(
-    g: Graph,
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], set[tuple[int, ...]]]:
-    """``((n, sorted relabelled edges), automorphisms met on the way)``.
+    n: int, edges: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int], set[tuple[int, ...]]]:
+    """``((n, least leaf code), automorphisms met on the way)`` of the graph
+    on vertices 0..n-1 with the given edges (distinct pairs, no loops).
 
     The form is equal for two graphs iff they are isomorphic.
 
     Colour refinement plus individualisation (McKay & Piperno, *Practical
     graph isomorphism II*, 2014):
 
-    * Refinement recolours every vertex by the rank of its signature (own
-      colour, sorted neighbour colours) until the colour count stops
-      growing.  Ranks depend on colours only, never on vertex labels.
+    * Refinement recolours every vertex by the rank of its signature
+      ``colour << top`` plus ``1 << shift * c`` for each neighbour of colour
+      c, with ``shift = n.bit_length()`` and ``top = 2 * shift * n``, until
+      the colour count stops growing.  Colours stay below 2n (ranks are
+      below n, and individualising maps colour c to 2c or 2c + 1), so the
+      field of colour c, bits shift*c up to shift*(c+1), lies below bit
+      top; a vertex has at most n - 1 < 2**shift neighbours of one colour,
+      so no field carries into the next.  The signature is therefore the
+      own colour above the neighbour-colour counts written as digits in
+      base 2**shift, and two signatures are equal iff the own colours and
+      the multisets of neighbour colours are: the encoding is injective.
+      Ranks order the signatures as ints, an order computed from colours
+      alone, so they depend on colours only, never on vertex labels.  The
+      form's correctness rests on that alone; injectivity makes each round
+      the full colour refinement, which keeps the search tree small.
     * While some colour class (cell) has several vertices, take the
       smallest such cell of lowest colour (again a choice on colours only),
       give each of its vertices in turn a colour just below the rest of
       the cell, and refine again.
     * Once every cell is one vertex, the colours number the vertices
-      0..n-1 and the relabelled edge list is a leaf.  The form is the least
-      leaf.  Relabelling ``g`` relabels its search tree but leaves every
-      leaf as it is, so the form is an invariant; every leaf is a copy of
-      ``g``, so equal forms mean isomorphic graphs.
+      0..n-1 and the leaf is the relabelled adjacency matrix read as an
+      int: bits n*c(u) + c(v) and n*c(v) + c(u) for each edge uv.  Each bit
+      belongs to one ordered pair of numbers below n, so equal codes mean
+      equal relabelled edge sets.  The form is the least leaf.  Relabelling
+      the graph relabels its search tree but leaves every leaf as it is, so
+      the form is an invariant; every leaf is a copy of the graph, so equal
+      forms mean isomorphic graphs.
     * Twins are branched on once.  If u and v have equal open or equal
-      closed neighbourhoods, swapping them is an automorphism of ``g`` that
-      fixes the colouring (both lie in the chosen cell), so it maps the
-      subtree under u onto the subtree under v with the same leaves.
+      closed neighbourhoods, swapping them is an automorphism that fixes
+      the colouring (both lie in the chosen cell), so it maps the subtree
+      under u onto the subtree under v with the same leaves.
 
     Each automorphism is a tuple ``p`` mapping vertex v to ``p[v]``.  Two
     kinds are recorded, and each is one:
 
     * the transposition (u v) whenever v is skipped as the twin of a vertex
       u already branched on, by the twin argument above;
-    * ``v -> best_inv[colors[v]]`` for every leaf ``colors`` whose edge
-      list equals the least leaf so far, where ``best_inv`` inverts the
-      labelling that reached that least leaf: both labellings map ``g``
-      onto the same edge list, so one after the other's inverse maps ``g``
-      onto itself.
+    * ``v -> best_inv[colors[v]]`` for every leaf ``colors`` whose code
+      equals the least leaf so far, where ``best_inv`` inverts the
+      labelling that reached that least leaf: both labellings map the graph
+      onto the same edge set, so one after the other's inverse maps the
+      graph onto itself.
 
     Together they generate the whole automorphism group.  For an
     automorphism σ and the labelling c of the final least leaf, c∘σ is a
-    leaf of the unpruned tree with the same edge list.  Walk down to it:
-    where the walk enters a skipped twin v of u, (u v) fixes every vertex
+    leaf of the unpruned tree with the same code.  Walk down to it: where
+    the walk enters a skipped twin v of u, (u v) fixes every vertex
     individualised so far, so replacing the leaf by its composition with
-    (u v) keeps the edge list and moves the walk into u's subtree.  The
-    walk ends at a visited leaf c∘σ∘τ, τ a product of recorded
-    transpositions, whose recorded automorphism is σ∘τ (the identity when
-    that leaf is c itself).
+    (u v) keeps the code and moves the walk into u's subtree.  The walk
+    ends at a visited leaf c∘σ∘τ, τ a product of recorded transpositions,
+    whose recorded automorphism is σ∘τ (the identity when that leaf is c
+    itself).
     """
-    n, adj = g.n, g._adj
-    nbrs = [sum(1 << u for u in adj[v]) for v in range(n)]
-    best = None
+    nbrs = [0] * n
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    shift = n.bit_length()
+    top = 2 * shift * n
+    weight = [1 << shift * c for c in range(2 * n)]  # one neighbour of colour c
+    best = -1
     best_inv: list[int] = []  # best_inv[c]: the vertex the least leaf numbers c
     automorphisms: set[tuple[int, ...]] = set()
 
     def search(colors: list[int]) -> None:
         nonlocal best, best_inv
         while True:  # refine to a stable colouring
-            sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
+            sigs = [c << top for c in colors]
+            for u, v in edges:
+                sigs[u] += weight[colors[v]]
+                sigs[v] += weight[colors[u]]
             rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
             stable = len(rank) == len(set(colors))
             colors = [rank[sig] for sig in sigs]
@@ -370,8 +404,11 @@ def _canonical_form(
             cells.setdefault(colors[v], []).append(v)
         open_cells = [cell for cell in cells.values() if len(cell) > 1]
         if not open_cells:
-            leaf = tuple(sorted(tuple(sorted((colors[u], colors[v]))) for u, v in g.edges))
-            if best is None or leaf < best:
+            leaf = 0
+            for u, v in edges:
+                a, b = colors[u], colors[v]
+                leaf |= 1 << n * a + b | 1 << n * b + a
+            if best < 0 or leaf < best:
                 best = leaf
                 best_inv = [0] * n
                 for v, c in enumerate(colors):

@@ -254,16 +254,19 @@ def graphs_of_order(cls: str, n: int) -> tuple[Graph, ...]:
     return _dedup(_augmentations(cls, n, neighbor_masks(n)))
 
 
-def _augmentations(cls: str, n: int, masks: Sequence[int]) -> Iterator[Graph]:
+def _augmentations(
+    cls: str, n: int, masks: Sequence[int]
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Each parent of order n-1 joined to one neighbour set per orbit of its
-    automorphisms, the orbit's first set in ``masks`` order."""
+    automorphisms, the orbit's first set in ``masks`` order, as ``(n, edges)``
+    with every edge a normalised pair."""
     if cls == "unicyclic":
-        yield Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+        yield n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     for g in graphs_of_order(cls, n - 1):
         # Bit images under each automorphism the canonical search met; they
         # generate the parent's whole group, so a set is seen iff it lies in
         # the orbit of a set already yielded.
-        images = [[1 << p[v] for v in range(n - 1)] for p in _canonical_form(g)[1]]
+        images = [[1 << p[v] for v in range(n - 1)] for p in _canonical_form(g.n, g.edges)[1]]
         seen: set[int] = set()
         for mask in masks:
             if mask in seen:
@@ -276,12 +279,15 @@ def _augmentations(cls: str, n: int, masks: Sequence[int]) -> Iterator[Graph]:
                     if y not in seen:
                         seen.add(y)
                         orbit.append(y)
-            yield Graph(n, list(g.edges) + [(v, n - 1) for v in range(n - 1) if mask >> v & 1])
+            yield n, list(g.edges) + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
 
 
-def _dedup(candidates: Iterable[Graph]) -> tuple[Graph, ...]:
-    """The first candidate of each isomorphism class, in candidate order."""
-    kept: dict[tuple, Graph] = {}
-    for g in candidates:
-        kept.setdefault(_canonical_form(g)[0], g)
+def _dedup(candidates: Iterable[tuple[int, list[tuple[int, int]]]]) -> tuple[Graph, ...]:
+    """The first candidate of each isomorphism class, in candidate order, as
+    a :class:`Graph`; a candidate of a class already kept is never built."""
+    kept: dict[tuple[int, int], Graph] = {}
+    for n, edges in candidates:
+        form = _canonical_form(n, edges)[0]
+        if form not in kept:
+            kept[form] = Graph(n, edges)
     return tuple(kept.values())

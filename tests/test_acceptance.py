@@ -192,9 +192,10 @@ def test_bound_corpus_holds_each_class_once_within_the_oracle_cap():
     # Every corpus check, criteria 6 to 14, reads this one corpus: every graph with an
     # edge and n <= 5, trees 6 <= n <= 9 and unicyclic graphs 6 <= n <= 8.
     corpus = eclab.theorems._bound_corpus()
-    forms = {_canonical_form(g)[0] for g in corpus}
+    forms = {_canonical_form(g.n, g.edges)[0] for g in corpus}
     assert len(corpus) == len(forms) == 269
-    assert _canonical_form(two_disjoint_edges())[0] in forms
+    pair = two_disjoint_edges()
+    assert _canonical_form(pair.n, pair.edges)[0] in forms
     assert max(g.m for g in corpus) <= ORACLE_EDGE_CAP
 
 
@@ -206,7 +207,9 @@ def test_small_connected_corpus_is_read_from_the_bound_corpus():
     assert all(id(g) in bound for g in connected)
     enumerated = [g for g in enumerate_corpus(CorpusSpec(5, ("connected",))) if g.m >= 1]
     assert len(connected) == len(enumerated) == 30
-    assert {_canonical_form(g)[0] for g in connected} == {_canonical_form(g)[0] for g in enumerated}
+    assert {_canonical_form(g.n, g.edges)[0] for g in connected} == {
+        _canonical_form(g.n, g.edges)[0] for g in enumerated
+    }
 
 
 @pytest.mark.parametrize(
@@ -232,7 +235,9 @@ def test_recognizer_sweep_reads_the_bound_corpus(monkeypatch, tag, recognizer, c
     assert all(id(g) in bound for g in swept)
     enumerated = [g for g in enumerate_corpus(CorpusSpec(max_n, (cls,))) if g.m >= 1]
     assert len(swept) == len(enumerated) == count
-    assert {_canonical_form(g)[0] for g in swept} == {_canonical_form(g)[0] for g in enumerated}
+    assert {_canonical_form(g.n, g.edges)[0] for g in swept} == {
+        _canonical_form(g.n, g.edges)[0] for g in enumerated
+    }
 
 
 def test_self_coalition_census_reads_the_bound_corpus():

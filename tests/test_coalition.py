@@ -291,8 +291,8 @@ class TestSolver:
         assert is_ec_partition(P6, result.certificate.blocks)
 
     def test_lower_bound_skips_orders_that_time_out(self, monkeypatch):
-        # K4,5 (20 edges, EC 14) refutes order 16 in about 0.7 s and order 15
-        # in about 9 s; the budget stops them, and a lower order gives a
+        # K4,5 (20 edges, EC 14) refutes order 16 in about 0.13 s and order 15
+        # in about 2.2 s; the budget stops them, and a lower order gives a
         # certificate.
         g = complete_bipartite(4, 5)
         timed_out = []

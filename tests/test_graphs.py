@@ -101,6 +101,36 @@ def _cocktail_party(k: int) -> Graph:
     return Graph(2 * k, [(u, v) for u in range(2 * k) for v in range(u + 1, 2 * k) if v != u + k])
 
 
+def _circulant(n: int, *steps: int) -> Graph:
+    """Vertex i adjacent to i ± s (mod n) for each step s."""
+    return Graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
+def _brute_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Is there a vertex bijection mapping g1's edges onto g2's?  Plain
+    backtracking: vertex v of g1 goes to each unused vertex of g2 whose
+    adjacency to the images of 0..v-1 matches v's."""
+    n = g1.n
+    if n != g2.n or g1.m != g2.m:
+        return False
+    image: list[int] = []
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if w not in image and all(
+                g1.has_edge(u, v) == g2.has_edge(x, w) for u, x in enumerate(image)
+            ):
+                image.append(w)
+                if extend(v + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)
+
+
 def _relabeled(g: Graph, seed: int) -> Graph:
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -171,6 +201,18 @@ class TestConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_isolated_vertices_build_no_per_vertex_lists(self):
+        # A ten-byte file that declares a million isolated vertices: one
+        # empty neighbour list per vertex took about 70 MiB.
+        tracemalloc.start()
+        try:
+            g = parse_edge_list("1000000 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+        assert (g.n, g.m, g.neighbors(0), g.degree(999999)) == (1000000, 0, (), 0)
 
 
 class TestEdgeNeighborhood:
@@ -368,21 +410,41 @@ class TestIsomorphism:
             (cycle_graph(6), _disjoint_cycles(3, 3), False),
             (complete_bipartite(3, 3), _prism(3), False),
             (cycle_graph(12), _disjoint_cycles(6, 6), False),
+            (_circulant(8, 1, 2), _relabeled(_circulant(8, 1, 3), 1), False),
             (_petersen(), _prism(5), False),
             (_petersen(), _relabeled(_petersen(), 3), True),
             (_cocktail_party(6), _relabeled(_cocktail_party(6), 7), True),
             (_frucht(), _relabeled(_frucht(), 5), True),
         ],
         ids=[
-            "C6-2C3", "K33-prism", "C12-2C6", "petersen-prism5", "petersen", "cocktail-party",
-            "frucht",
+            "C6-2C3", "K33-prism", "C12-2C6", "C8(1,2)-K44", "petersen-prism5", "petersen",
+            "cocktail-party", "frucht",
         ],
     )
     def test_regular_pairs_refinement_cannot_split(self, g1, g2, expected):
         # Each pair is regular of equal degree and order, so colour
-        # refinement alone leaves one cell in both graphs.
+        # refinement alone leaves one cell in both graphs.  C8(1, 3) is K4,4.
+        assert _brute_isomorphic(g1, g2) is expected
         assert are_isomorphic(g1, g2) is expected
         assert are_isomorphic(g2, g1) is expected
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 12])
+    def test_stars_against_brute_force(self, n):
+        # A star's centre has n - 1 neighbours of one colour, the largest
+        # count a signature field holds; 3 and 4, and 7 and 8, sit on either
+        # side of a step of n.bit_length(), and 12 is the vertex cap.
+        star = star_graph(n - 1)
+        for other in (star, path_graph(n)):
+            for seed in range(3):
+                h = _relabeled(other, seed)
+                assert are_isomorphic(star, h) is _brute_isomorphic(star, h), (n, h.edges)
+
+    def test_all_order_5_pairs_against_brute_force(self):
+        graphs = graphs_of_order("all", 5)
+        for i, g1 in enumerate(graphs):
+            for j, g2 in enumerate(graphs):
+                h = _relabeled(g2, 100 * i + j)
+                assert are_isomorphic(g1, h) is _brute_isomorphic(g1, h) is (i == j), (i, j)
 
     def test_size_cap(self):
         big = complete_graph(13)

@@ -348,7 +348,7 @@ class TestOrbitPruning:
         # have the orbits of the whole group on vertex subsets.
         for index, g in enumerate(graphs_of_order("all", n)):
             for h in (g, _relabeled(g, index)):
-                found = eclab.graphs._canonical_form(h)[1]
+                found = eclab.graphs._canonical_form(h.n, h.edges)[1]
                 edges = {frozenset(e) for e in h.edges}
                 for p in found:
                     assert sorted(p) == list(range(n)), (h.edges, p)
