@@ -78,15 +78,26 @@ def _add_format_arg(parser: argparse.ArgumentParser, *, dot: bool = False) -> No
     )
 
 
+def _cap(text: str) -> int:
+    """argparse type of ``--max-edges``: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
 def _edge_cap(args: argparse.Namespace) -> int:
     if args.max_edges is not None:
         return args.max_edges
     env = os.environ.get("ECLAB_MAX_EDGES")
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise EclabError(f"ECLAB_MAX_EDGES must be an integer, got {env!r}") from exc
+            return _cap(env)
+        except argparse.ArgumentTypeError as exc:
+            raise EclabError(f"ECLAB_MAX_EDGES {exc}") from exc
     return DEFAULT_EXACT_EDGE_CAP
 
 
@@ -239,7 +250,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_theorems(args: argparse.Namespace) -> int:
     passed = total = 0
-    for result in theorems.run_all(args.only.split(",") if args.only else None):
+    for result in theorems.run_all(None if args.only is None else args.only.split(",")):
         print(f"{'PASS' if result.passed else 'FAIL'}  {result.tag:28s} {result.detail}")
         passed += result.passed
         total += 1
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ec", help="compute the edge coalition number with a certificate")
     _add_input_args(p)
     _add_format_arg(p)
-    p.add_argument("--max-edges", type=int, default=None, help="override the exact-mode cap")
+    p.add_argument("--max-edges", type=_cap, default=None, help="override the exact-mode cap")
     p.add_argument(
         "--lower-bound",
         action="store_true",

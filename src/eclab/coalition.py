@@ -256,8 +256,8 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         completion test below;
       * every block must keep a *potential* partner: the part of its
         deficiency that no remaining edge can cover must already be covered
-        by some other existing block that is not itself dominating (that
-        part lies outside the block's own cover, so it is never its own);
+        by some other existing block (that part lies outside the block's own
+        cover, so it is never its own);
       * no twin swap may map the labeling onto a lex-smaller one.
 
     Completion test.  The slack after edges 0..j-1 are labelled is
@@ -272,31 +272,32 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     on entry.  Every node entered has slack at least 1, so its children have
     slack at least 0, and depth m is never entered.
 
-    The completion's blocks have the covers covers[:used] and N[f] for each
-    edge f >= j.  A block of two or more edges was kept non-dominating as
-    each edge joined it, and a full one-edge block needs no partner, so the
-    completion is an ec-partition exactly when every non-full final cover
-    has a non-full final cover whose union with it is full.  The test drops
-    both "non-full"s and asks that every final cover have some final cover
-    whose union with it is full, which is the same.  A full cover has one,
-    itself.  A non-full block X whose union with a full one-edge block {uv}
-    is full has a non-full partner too: every edge meets u or v, and X
-    cannot hold an edge at u and an edge at v, or it would dominate; say its
-    edges meet u.  Then X covers every edge at u, so an edge X misses is an
-    edge vt with t on no edge of X.  The block of vt covers every edge at v,
-    so its union with X is full, and it does not dominate: as a single edge
-    vt misses the edges of X, and a larger block never dominates.
+    Partner test.  One test, ``partnered(blocks, r)``, serves the prune, on
+    the open covers with r = rem[i + 1], and the completion test, on the
+    final covers (covers[:used] and N[f] for each edge f >= j) with r = 0:
+    every cover x has x | r full, or x | r | y full for some cover y.  No
+    block of two or more edges dominates and a full one-edge block needs no
+    partner, so the rules ask this with y restricted to non-full covers; the
+    restriction changes no verdict, at any depth:
+      1. a full open block can only be a single full edge uv, and then every
+         edge meets u or v;
+      2. a block X whose cover x has x | r not full cannot hold an edge at u
+         and one at v, or it would dominate; say its edges meet u.  X covers
+         every edge at u, so each edge outside x | r, all of whose closed
+         neighbourhood is labelled, is an edge vt with t on no edge of X;
+      3. vt is labelled.  Its block covers every edge at v, so its union
+         with X is full, and it is not full: as a single edge vt misses the
+         edges of X, and a larger block never dominates.
 
     Walking the forced tail one edge at a time would reach the same verdict,
     since every prune on the way is a necessary condition of the test: a new
-    block is never cut as dominating, ``partners_feasible`` asks only for a
-    potential partner, and a memo hit is a recorded failure.  The twin walks
-    are not advanced into the tail.  If one would cut a completion L that is an ec-partition, L
-    has a lex-smaller automorphic image of order k; the search meets
-    labelings in lex order and never cuts the lex-least witness, so it
-    returned a witness no larger than that image before it reached L.  A
-    completion that passes is therefore the lex-least witness, the same one
-    the walked tail returns.
+    block is never cut as dominating, and ``partnered`` asks only for a
+    potential partner.  Neither the twin cut nor the memo is applied in the
+    tail.  Each cuts a completion L that is an ec-partition only when L is
+    not the lex-least witness of the order; the search meets labelings in
+    lex order and never cuts the lex-least witness, so it returned a witness
+    smaller than L before it reached L.  A completion that passes is
+    therefore the lex-least witness, the same one the walked tail returns.
 
     Twin swaps (lex-leader symmetry breaking; Crawford, Ginsberg, Luks and
     Roy, KR 1996).  A swap p of :meth:`Graph.twin_swaps` is an automorphism
@@ -320,11 +321,12 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     resumes once edge due = max(f, p[f]) is labelled.  The relabeling from
     L to L' is the identity on the ``seen`` labels of the edges before the
     first one p moves, which are fixed, and ``extra`` on the rest.  A walk
-    decided L' > L, or equal through edge m - 1, leaves the subtree.  Walks
-    are never changed in place, so backtracking restores nothing.  Past the
-    last edge p moves, p[f] = f and the walk steps one edge per node.  A
-    graph without twins has no walk; its nodes pay one truth test per child
-    for them.
+    decided L' > L leaves the subtree.  No walk reaches the tail: ``advance``
+    runs only for children with slack at least 1, so i <= m - 2 and a walk
+    resumes at an edge f <= m - 1.  Walks are never changed in place, so
+    backtracking restores nothing.  Past the last edge p moves, p[f] = f and
+    the walk steps one edge per node.  A graph without twins has no walk;
+    its nodes pay one truth test per child for them.
 
     A block is empty exactly when its cover is 0, because N[e] contains e.
 
@@ -343,25 +345,25 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
       * block b is open, that is its cover is not 0, exactly when b < used;
       * block b is full exactly when (b, b) is not dead and its cover
         contains rem[i];
-      * at any depth j >= i, ``need & ~covers[c]`` in ``partners_feasible``
-        is F_j & ~(covers[b] | covers[c]), which is 0 exactly when (b, c) is
-        not dead and the two covers together hold F_j & rem[i]; ``need``
-        itself is the case c = b;
+      * at any depth j >= i, covers[b] | rem[j] | covers[c] in
+        ``partnered`` is full exactly when F_j & ~(covers[b] | covers[c]) is
+        0, that is when (b, c) is not dead and the two covers together hold
+        F_j & rem[i]; covers[b] | rem[j] is the case c = b;
       * the slack reads only ``used``, and a completion test decides what
-        ``partners_feasible`` decides at depth m on the completed labeling.
+        ``partnered`` decides at depth m on the completed labeling.
     Two nodes with equal keys therefore have subtrees with the same
-    solutions, so a key whose subtree failed fails again.  A failure is
-    recorded only at a node whose walk tuple is empty: no twin swap cuts its
-    subtree and every completion test in it is exact, so the failure means
-    that no completion is an ec-partition of order k, and a node with any
-    walks may consult it.  Only failures are stored and the children keep
-    their order, so the search returns the same witness, and refutes the
-    same orders, as without the memo.  ``dead`` is
-    a k*k-bit int, bit b*k + c for the pair (b, c), grown without a rescan:
-    on entry to depth i, each edge y of fin[i], finalized by labelling edge
-    i - 1, adds every pair inside the blocks that do not meet N[y].  Only
-    children that pass ``partners_feasible``, which does not read it, pay
-    for that update.
+    completions that are ec-partitions of order k.  Every failed node is
+    recorded, walks or not.  A later node with an equal key has a lex-larger
+    prefix, and any completion below it that is an ec-partition of order k
+    also completes the earlier prefix into a lex-smaller one, so the later
+    subtree cannot hold the lex-least witness.  The memo and the twin cut
+    are thus independent prunes that each keep the lex-least witness, and
+    the search returns the same witness, and refutes the same orders, as
+    without the memo.  ``dead`` is a k*k-bit int, bit b*k + c for the pair
+    (b, c), grown without a rescan: on entry to depth i, each edge y of
+    fin[i], finalized by labelling edge i - 1, adds every pair inside the
+    blocks that do not meet N[y].  Only children that pass ``partnered``,
+    which does not read it, pay for that update.
     The key repeats where the labelled part of the frontier is narrow and
     costs O(k²) bits per node, so the memo is on only for edge orders whose
     :func:`_frontier_width` is at most ``_MEMO_WIDTH``: paths (width 1) and
@@ -402,17 +404,17 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         # squares[have]: the pairs inside the blocks outside the label set have.
         squares: dict[int, int] = {}
 
-    def partners_feasible(i: int) -> bool:
-        r = rem[i]
-        for b in range(used):
-            need = full & ~(covers[b] | r)
-            if not need:
-                continue
-            for c in range(used):
-                if covers[c] != full and not need & ~covers[c]:
-                    break
-            else:
-                return False
+    def partnered(blocks: Sequence[int], r: int) -> bool:
+        """True iff every cover x in ``blocks`` has a potential partner:
+        x | r is full, or x | r | y is for some y in ``blocks``."""
+        for x in blocks:
+            x |= r
+            if x != full:
+                for y in blocks:
+                    if x | y == full:
+                        break
+                else:
+                    return False
         return True
 
     def advance(walks: tuple, i: int) -> tuple | None:
@@ -444,10 +446,9 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
                 if y != z:
                     break
                 f += 1
-            if y != z:
-                if y < z:
-                    return None
-            elif f < m:
+            if y < z:
+                return None
+            if y == z:
                 below.append((p, f, max(f, p[f]), seen, extra))
         return tuple(below)
 
@@ -463,13 +464,8 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         """The completion test of a prefix of edges 0..j-1 with no slack; on
         a pass, labels[j:] holds the completion."""
         tick()
-        finals = (*covers[:used], *closed[j:])
-        for x in finals:
-            for y in finals:
-                if x | y == full:
-                    break
-            else:
-                return False
+        if not partnered((*covers[:used], *closed[j:]), 0):
+            return False
         labels[j:] = range(used, k)
         return True
 
@@ -506,12 +502,12 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
                     return True
             else:
                 below = advance(walks, i) if walks else walks
-                if below is not None and partners_feasible(i + 1) and rec(i + 1, below, dead):
+                if below is not None and partnered(covers[:used], rem[i + 1]) and rec(i + 1, below, dead):
                     return True
             covers[b] = old_cover
             if not old_cover:
                 used -= 1
-        if memo is not None and not walks:
+        if memo is not None:
             memo.add(key)
         return False
 

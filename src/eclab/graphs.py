@@ -128,40 +128,32 @@ class Graph:
         have N(u) = N(v), closed twins N[u] = N[v].  Swapping them is an
         automorphism: it maps edge uw onto vw for every other neighbour w
         and fixes every other edge, so ``p[p[e]] == e``.  The classes of
-        twins are the vertices grouped by open and by closed neighbourhood
-        mask, and each class gives the transpositions of its consecutive
-        members, which generate every permutation of the class.  One that
-        moves no edge is left out: u has no neighbour but v, as for
+        twins are the vertices grouped by open and then by closed
+        neighbourhood, and each class gives the transpositions of its
+        consecutive members, which generate every permutation of the class;
+        the swaps of each kind come in the order of the later member.  One
+        that moves no edge is left out: u has no neighbour but v, as for
         isolated vertices or a K2 component.
         """
         if self._twins is None:
-            n, adj, edges = self.n, self._adj, self.edges
-            opened = [0] * n
-            for u, v in edges:
-                opened[u] |= 1 << v
-                opened[v] |= 1 << u
-            closed = [mask | 1 << v for v, mask in enumerate(opened)]
-            pairs = []
-            for masks in (opened, closed):
-                if len(set(masks)) < n:
-                    latest: dict[int, int] = {}
-                    for v, mask in enumerate(masks):
-                        if mask in latest:
-                            pairs.append((latest[mask], v))
-                        latest[mask] = v
+            adj = self._adj
+            index = {pair: e for e, pair in enumerate(self.edges)}
             swaps = []
-            if pairs:
-                index = {pair: e for e, pair in enumerate(edges)}
-                for u, v in pairs:
-                    perm = list(range(len(edges)))
-                    first = len(edges)
+            for rows in (adj, [tuple(sorted((*row, v))) for v, row in enumerate(adj)]):
+                latest: dict[tuple[int, ...], int] = {}
+                for v, row in enumerate(rows):
+                    u = latest.get(row)
+                    latest[row] = v
+                    if u is None:
+                        continue
+                    perm = list(range(self.m))
                     for w in adj[u]:
                         if w != v:
                             a = index[(u, w) if u < w else (w, u)]
                             b = index[(v, w) if v < w else (w, v)]
                             perm[a], perm[b] = b, a
-                            first = min(first, a, b)
-                    if first < len(edges):
+                    first = next((e for e, f in enumerate(perm) if e != f), None)
+                    if first is not None:
                         swaps.append((first, tuple(perm)))
             self._twins = tuple(swaps)
         return self._twins

@@ -403,7 +403,7 @@ def run_all(tags: Sequence[str] | None = None) -> Iterator[CheckResult]:
         known = {tag for tag, _ in checks}
         unknown = [t for t in tags if t not in known]
         if unknown:
-            raise EclabError(f"unknown check tags: {', '.join(unknown)}")
+            raise EclabError(f"unknown check tags: {', '.join(map(repr, unknown))}")
         checks = tuple((tag, fn) for tag, fn in checks if tag in tags)
     return (CheckResult(tag, *fn()) for tag, fn in checks)
 

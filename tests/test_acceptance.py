@@ -286,8 +286,8 @@ def test_run_all_reads_checks_at_call_time_and_keeps_their_order(monkeypatch):
 
 def test_unknown_tags_raise_before_any_check_runs(monkeypatch):
     ran = _spy_checks(monkeypatch)
-    with pytest.raises(EclabError, match="unknown check tags: nonsense, bad$"):
+    with pytest.raises(EclabError, match="unknown check tags: 'nonsense', 'bad'$"):
         run_all(["nonsense", "paths-closed-form", "bad"])
-    with pytest.raises(EclabError, match="unknown check tags: nonsense$"):
+    with pytest.raises(EclabError, match="unknown check tags: 'nonsense'$"):
         run_check("nonsense")
     assert ran == []

@@ -72,6 +72,13 @@ class TestEc:
         assert (code, out) == (2, "")
         assert err == "error: ECLAB_MAX_EDGES must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("mode", [[], ["--lower-bound"]], ids=["exact", "lower"])
+    def test_negative_env_cap_is_usage_error(self, capsys, monkeypatch, mode):
+        monkeypatch.setenv("ECLAB_MAX_EDGES", "-4")
+        code, out, err = run_cli(capsys, "ec", "--family", "path:3", *mode)
+        assert (code, out) == (2, "")
+        assert err == "error: ECLAB_MAX_EDGES must not be negative, got '-4'\n"
+
     @pytest.mark.parametrize("n", [100_000, 1_000_000])
     def test_over_cap_family_refused_before_the_graph_is_built(self, capsys, n):
         # P1000000 used to cost 432 MiB and 3 s of graph building before exit 3.
@@ -350,6 +357,14 @@ class TestInputBoundary:
                 ["corpus", "--classes", "trees", "--max-vertices", "-1", "--out-dir", "{tmp}/d"],
                 "error: max_vertices must be a nonnegative int, got -1\n",
             ),
+            (
+                ["ec", "--family", "path:3", "--max-edges", "-1"],
+                "argument --max-edges: must not be negative, got '-1'",
+            ),
+            (
+                ["ec", "--family", "path:3", "--max-edges", "x"],
+                "argument --max-edges: must be an integer, got 'x'",
+            ),
         ],
     )
     def test_usage_error(self, capsys, tmp_path, argv, message):
@@ -446,6 +461,12 @@ class TestTheorems:
         code, _, err = run_cli(capsys, "theorems", "--only", "nonsense")
         assert code == 2
         assert "unknown check tags" in err
+
+    @pytest.mark.parametrize("only, tags", [("", "''"), (",", "'', ''")], ids=["empty", "comma"])
+    def test_empty_tags_are_usage_errors(self, capsys, only, tags):
+        code, out, err = run_cli(capsys, "theorems", "--only", only)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown check tags: {tags}\n"
 
     def test_full_suite_output(self, capsys):
         # Criteria 9 and 11 fail on purpose: both refute claims of the paper.

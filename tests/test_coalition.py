@@ -578,24 +578,74 @@ class TestPrefixPrunes:
         cricket = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4)])
         assert coalition._find_partition_of_order(cricket, 4) == [0, 1, 1, 2, 3]
         # Each forced tail is one completion test and enters no node: K3,5
-        # at k = 13 is refuted in 42 nodes and 218 completion tests, where
-        # walking the tails edge by edge enters 235 nodes.  Clock reads bound
-        # the work as above, and it makes none.
-        entered = []
-
-        def count(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "rec" and frame.f_globals is vars(coalition):
-                entered.append(1)
-
+        # at k = 13 is refuted in 42 nodes and 218 completion tests (pinned
+        # in test_node_and_completion_test_counts), where walking the tails
+        # edge by edge enters 235 nodes.  Clock reads bound the work as
+        # above, and it makes none.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
+        assert coalition._find_partition_of_order(complete_bipartite(3, 5), 13) is None
+        assert reads == []
+
+    @pytest.mark.parametrize(
+        "g, k, found, nodes, tests",
+        [
+            (complete_bipartite(4, 4), 12, True, 1851, 14778),
+            (path_graph(17), 6, True, 2216, 1549),
+            (complete_bipartite(3, 5), 13, False, 42, 218),
+        ],
+        ids=["K44-k12", "P17-k6", "K35-k13"],
+    )
+    def test_node_and_completion_test_counts(self, g, k, found, nodes, tests):
+        # Exact counts of rec calls and completes calls, so a prune, memo
+        # or twin cut that grows weaker fails here even when every verdict
+        # stays the same.
+        calls = {"rec": 0, "completes": 0}
+
+        def count(frame, event, arg):
+            name = frame.f_code.co_name
+            if event == "call" and name in calls and frame.f_globals is vars(coalition):
+                calls[name] += 1
+
         sys.setprofile(count)
         try:
-            assert coalition._find_partition_of_order(complete_bipartite(3, 5), 13) is None
+            labels = coalition._find_partition_of_order(g, k)
         finally:
             sys.setprofile(None)
-        assert len(entered) <= 42
-        assert reads == []
+        assert (labels is not None, calls["rec"], calls["completes"]) == (found, nodes, tests)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_full_partners_never_decide_the_partner_test(self, data):
+        # Every edge meets u = 0 or v = 1, so uv is a full edge.  While no
+        # block of two or more edges dominates, a block's potential partner
+        # may be a full block only if a non-full one serves too: the search's
+        # partner test needs no "non-full" clause, at any depth.
+        ends = data.draw(st.lists(st.sampled_from([(0,), (1,), (0, 1)]), max_size=6))
+        edges = [(0, 1)] + [(a, w) for w, at in enumerate(ends, 2) for a in at]
+        g = Graph(len(ends) + 2, data.draw(st.permutations(edges)))
+        closed, full, m = g.closed_edge_masks(), g.full_edge_mask, g.m
+        covers: list[int] = []
+        i = data.draw(st.integers(0, m))
+        for e in range(i):
+            # Any label that keeps every block of two or more edges non-full.
+            allowed = [b for b in range(len(covers)) if covers[b] | closed[e] != full]
+            b = data.draw(st.sampled_from([*allowed, len(covers)]))
+            if b == len(covers):
+                covers.append(0)
+            covers[b] |= closed[e]
+        r = 0
+        for e in range(i, m):
+            r |= closed[e]
+
+        def partnered(non_full_only: bool) -> bool:
+            return all(
+                x | r == full
+                or any(x | r | y == full for y in covers if not non_full_only or y != full)
+                for x in covers
+            )
+
+        assert partnered(True) == partnered(False)
 
     def test_completion_tests_read_the_clock(self, monkeypatch):
         # Completion tests count toward the once-per-4,096 clock read, so a
@@ -645,6 +695,39 @@ class TestTwinSymmetry:
     )
     def test_generators(self, g, pairs):
         assert _swapped_pairs(g) == pairs
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        small_graphs(max_n=6), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False)
+    )
+    # Open twins (the star's leaves) and closed twins (the K3) in one graph.
+    @example(_disjoint_union(star_graph(3), complete_graph(3)), 1, 1, random.Random(0))
+    def test_swaps_match_the_definition(self, g, k2s, isolated, rng):
+        # With K2 components and isolated vertices added, and vertices and
+        # edges shuffled.  The reference groups vertices by N(v), then by
+        # N[v], pairs consecutive members in vertex order, applies each pair's
+        # vertex transposition to the edges and drops swaps that move none.
+        n = g.n + 2 * k2s + isolated
+        edges = [*g.edges, *((g.n + 2 * j, g.n + 2 * j + 1) for j in range(k2s))]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rng.shuffle(edges)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        index = {frozenset(edge): e for e, edge in enumerate(g.edges)}
+        expected = []
+        for closed in (False, True):
+            classes: dict[frozenset[int], list[int]] = {}
+            for v in range(n):
+                nbrs = frozenset(g.neighbors(v)) | ({v} if closed else set())
+                classes.setdefault(nbrs, []).append(v)
+            pairs = sorted((c[j], c[j + 1]) for c in classes.values() for j in range(len(c) - 1))
+            for u, v in sorted(pairs, key=operator.itemgetter(1)):
+                swap = {u: v, v: u}
+                p = tuple(index[frozenset(swap.get(x, x) for x in edge)] for edge in g.edges)
+                moved = [e for e in range(g.m) if p[e] != e]
+                if moved:
+                    expected.append((moved[0], p))
+        assert g.twin_swaps() == tuple(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=7))
