@@ -300,7 +300,7 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     therefore the lex-least witness, the same one the walked tail returns.
 
     Twin swaps (lex-leader symmetry breaking; Crawford, Ginsberg, Luks and
-    Roy, KR 1996).  A swap p of :meth:`Graph.twin_swaps` is an automorphism
+    Roy, KR 1996).  A swap p of :func:`_twin_swaps` is an automorphism
     acting on edges, with p[p[f]] = f, so p(N[e]) = N[p[e]] and it maps
     every ec-partition of order k onto one of order k.  The image of a
     labeling L puts edge f in the block of p[f]; renumbering its labels in
@@ -313,20 +313,23 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     it is not the lex-least one; the lex-least witness of the order has no
     smaller image and is never cut.  The search therefore returns the same
     witness, and refutes the same orders, as without this rule.  At k = m
-    the completion test at the root decides the order, so no swap is walked
-    there.
+    the completion test at the root decides the order, so the swaps are
+    built only for k < m.
 
     Each swap's comparison is a walk ``(p, f, due, seen, extra)`` passed
     down the recursion: L' agrees with L before edge f, and the walk
     resumes once edge due = max(f, p[f]) is labelled.  The relabeling from
     L to L' is the identity on the ``seen`` labels of the edges before the
-    first one p moves, which are fixed, and ``extra`` on the rest.  A walk
-    decided L' > L leaves the subtree.  No walk reaches the tail: ``advance``
+    first one p moves, which are fixed, and ``extra`` on the rest.  The
+    walk starts on entry to depth f, after the memo lookup, as
+    (p, f, p[f], used, {}): p fixes the edges before f, and there used is
+    max(labels[:f]) + 1, or 0 at the root.  A walk decided L' > L leaves
+    the subtree.  No walk reaches the tail: ``advance``
     runs only for children with slack at least 1, so i <= m - 2 and a walk
     resumes at an edge f <= m - 1.  Walks are never changed in place, so
     backtracking restores nothing.  Past the last edge p moves, p[f] = f and
     the walk steps one edge per node.  A graph without twins has no walk;
-    its nodes pay one truth test per child for them.
+    its nodes pay one truth test each, and one per child, for them.
 
     A block is empty exactly when its cover is 0, because N[e] contains e.
 
@@ -372,8 +375,10 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     existing block that the search is small and its keys rarely repeat.  On
     the orders of the graphs of width at most 2 among connected graphs with
     n <= 7 and m <= 10, trees with n <= 10 and unicyclic graphs with n <= 9,
-    the memo took 1.55, 1.24 and 1.04 times as long as the plain search at
-    slack 1, 2 and 3, and 0.91 times at slack 4; P17 at k = 6 has slack 10.
+    the memo took 1.74, 1.36, 1.15, 1.32 and 1.93 times as long as the plain
+    search at slack 1, 2, 3, 4 and above (medians of 15 interleaved rounds);
+    the gate cuts their exact EC time by about 20 %.  P17 at k = 6 has slack
+    10 and takes a million nodes without the memo.
     """
     m = g.m
     if k > m:
@@ -426,11 +431,7 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
             if due > i:
                 below.append(walk)
                 continue
-            if seen < 0:
-                seen = max(labels[:f]) + 1 if f else 0
-                extra = {}
-            else:
-                extra = extra.copy()
+            extra = extra.copy()
             while f <= i:  # due <= i, so at least one step runs
                 image = p[f]
                 if image > i:
@@ -487,6 +488,8 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
             key = (i, used, dead, boundary[i](labels))
             if key in memo:
                 return False
+        if starts[i]:
+            walks += tuple((p, i, p[i], used, {}) for p in starts[i])
         # Existing blocks, then a new one while fewer than k are open.
         for b in range(used + (used < k)):
             old_cover = covers[b]
@@ -513,9 +516,10 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
 
     if k == m:
         return list(labels) if completes(0) else None
-    # A walk is (p, f, due, seen, extra), with seen = -1 until its first step.
-    walks = tuple((p, first, p[first], -1, None) for first, p in g.twin_swaps())
-    return list(labels) if rec(0, walks, 0) else None
+    starts: list[tuple] = [()] * m  # starts[f]: the swaps whose least moved edge is f
+    for first, p in _twin_swaps(g):
+        starts[first] += (p,)
+    return list(labels) if rec(0, (), 0) else None
 
 
 _MEMO_WIDTH = 2
@@ -532,6 +536,43 @@ def _frontier_width(rem: Sequence[int]) -> int:
         width = max(width, (r & below).bit_count())
         below = below << 1 | 1
     return width
+
+
+def _twin_swaps(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Twin transpositions acting on edges: one ``(first, p)`` each, with
+    ``p[e]`` the image of edge e and ``first`` the least edge p moves.
+
+    Vertices u != v are twins when N(u) - {v} = N(v) - {u}: open twins
+    have N(u) = N(v), closed twins N[u] = N[v].  Swapping them is an
+    automorphism: it maps edge uw onto vw for every other neighbour w
+    and fixes every other edge, so ``p[p[e]] == e``.  The classes of
+    twins are the vertices grouped by open and then by closed
+    neighbourhood, and each class gives the transpositions of its
+    consecutive members, which generate every permutation of the class;
+    the swaps of each kind come in the order of the later member.  One
+    that moves no edge is left out: u has no neighbour but v, as for
+    isolated vertices or a K2 component.
+    """
+    adj = g._adj
+    index = {pair: e for e, pair in enumerate(g.edges)}
+    swaps = []
+    for rows in (adj, [tuple(sorted((*row, v))) for v, row in enumerate(adj)]):
+        latest: dict[tuple[int, ...], int] = {}
+        for v, row in enumerate(rows):
+            u = latest.get(row)
+            latest[row] = v
+            if u is None:
+                continue
+            perm = list(range(g.m))
+            for w in adj[u]:
+                if w != v:
+                    a = index[(u, w) if u < w else (w, u)]
+                    b = index[(v, w) if v < w else (w, v)]
+                    perm[a], perm[b] = b, a
+            first = next((e for e, f in enumerate(perm) if e != f), None)
+            if first is not None:
+                swaps.append((first, tuple(perm)))
+    return tuple(swaps)
 
 
 def _degree_bound(closed: Sequence[int]) -> int:
@@ -612,8 +653,10 @@ def _require_edges(g: Graph) -> None:
 
 
 def _check_edge_cap(m: int, max_edges: int) -> None:
-    """Refuse an exact solve of ``m`` edges above ``max_edges``; the CLI calls
-    it on a family spec's edge count before it builds the graph."""
+    """Refuse a malformed cap, or an exact solve of ``m`` edges above it; the
+    CLI calls it on a family spec's edge count before it builds the graph."""
+    if not _is_index(max_edges, math.inf):
+        raise EclabError(f"max_edges must be a nonnegative int, got {max_edges!r}")
     if m > max_edges:
         raise BudgetExceeded(
             f"graph has m={m} edges, above the exact-mode cap {max_edges}; "
@@ -634,8 +677,8 @@ def edge_coalition_number(
     at the first feasible order, so the result is the maximum.  Raises
     :class:`EmptyGraph` when m = 0 and :class:`BudgetExceeded` when m
     exceeds ``max_edges`` (enumeration grows like the Bell numbers); the
-    cap test is :func:`_check_edge_cap`, which the CLI also applies to a
-    family spec before building its graph.
+    cap test is :func:`_check_edge_cap`, which also refuses a malformed cap
+    and which the CLI applies to a family spec before building its graph.
     """
     m = g.m
     _require_edges(g)
@@ -667,18 +710,19 @@ def edge_coalition_lower_bound(
     a partition gives a certificate; the value is exact only if no higher
     order was skipped, and the result is always labeled "lower_bound".  A
     non-finite budget would never time out and a negative one has run out
-    before any search, so both raise :class:`EclabError`;
-    :class:`BudgetExceeded` means no order was filled in time.
+    before any search, so both raise :class:`EclabError`, as does a budget
+    that is a bool or not an int or float; :class:`BudgetExceeded` means no
+    order was filled in time.
     """
-    if not (math.isfinite(time_budget) and time_budget >= 0):
+    number = isinstance(time_budget, (int, float)) and type(time_budget) is not bool
+    if not (number and math.isfinite(time_budget) and time_budget >= 0):
         raise EclabError(
             f"time_budget must be a finite, nonnegative number of seconds, got {time_budget!r}"
         )
-    m = g.m
     _require_edges(g)
     found = _largest_order(g, time.monotonic() + time_budget)
     if found is None:
-        raise BudgetExceeded(f"no ec-partition found within {time_budget:g}s for m={m}")
+        raise BudgetExceeded(f"no ec-partition found within {time_budget:g}s for m={g.m}")
     k, cert, _ = found
     return EcResult(ec=k, certificate=cert, mode="lower_bound", proof=None)
 

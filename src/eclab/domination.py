@@ -20,10 +20,12 @@ from .graphs import Graph, _is_index, line_graph
 def check_edge_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
     """Normalize an edge-index collection, raising GraphMismatch on bad indices."""
     try:
-        s = frozenset(members)
+        # A set keeps one of 0 and False, so members are checked as given.
+        given = members if isinstance(members, (set, frozenset)) else list(members)
+        s = frozenset(given)
     except TypeError as exc:
         raise GraphMismatch(f"an edge set must be a collection of edge indices: {exc}") from exc
-    for e in s:
+    for e in given:
         if not _is_index(e, g.m):
             raise GraphMismatch(f"edge index {e!r} does not exist in a graph with m={g.m}")
     return s
@@ -39,8 +41,7 @@ def _cover_mask(closed: Sequence[int], members: Iterable[int]) -> int:
 
 def is_edge_dominating_set(g: Graph, members: Iterable[int]) -> bool:
     """True iff every edge outside the set has a neighbor inside it."""
-    s = check_edge_set(g, members)
-    return _cover_mask(g.closed_edge_masks(), s) == g.full_edge_mask
+    return _cover_mask(g.closed_edge_masks(), check_edge_set(g, members)) == g.full_edge_mask
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@ library by their 0-based index; sets of edges are plain ``frozenset``
 objects of indices.  A :class:`Graph` stores the edge list and builds
 from it, on first use, one bitmask per edge, its closed edge
 neighbourhood N[e]; every other edge relation (open neighbourhoods, the
-line graph) is read from those bits.  The twin swaps the solver breaks
-symmetry with are built the same way.  A :class:`Graph` is immutable
+line graph) is read from those bits.  A :class:`Graph` is immutable
 after construction and each fill always stores the same value, so
 instances can be shared freely between threads and reused as keys.
 
@@ -46,11 +45,10 @@ class Graph:
     ``(min, max)`` and stored in insertion order, with the sorted adjacency
     of each vertex; ``m`` is the edge count.  The closed edge masks take m²
     bits, so the first :meth:`closed_edge_masks` call builds them from the
-    edge list: a graph only stored, written or refused never does.  The
-    twin swaps of :meth:`twin_swaps` are built the same way, on first use.
+    edge list: a graph only stored, written or refused never does.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_closed", "_twins")
+    __slots__ = ("n", "edges", "_adj", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not _is_index(n, float("inf")):
@@ -81,7 +79,6 @@ class Graph:
         # the peak for a large n.
         self._adj = rows
         self._closed: tuple[int, ...] | None = None
-        self._twins: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -118,45 +115,6 @@ class Graph:
                 incident[v] |= 1 << f
             self._closed = tuple(incident[u] | incident[v] for u, v in self.edges)
         return self._closed
-
-    def twin_swaps(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Twin transpositions acting on edges, built on first use: one
-        ``(first, p)`` each, with ``p[e]`` the image of edge e and ``first``
-        the least edge p moves.
-
-        Vertices u != v are twins when N(u) - {v} = N(v) - {u}: open twins
-        have N(u) = N(v), closed twins N[u] = N[v].  Swapping them is an
-        automorphism: it maps edge uw onto vw for every other neighbour w
-        and fixes every other edge, so ``p[p[e]] == e``.  The classes of
-        twins are the vertices grouped by open and then by closed
-        neighbourhood, and each class gives the transpositions of its
-        consecutive members, which generate every permutation of the class;
-        the swaps of each kind come in the order of the later member.  One
-        that moves no edge is left out: u has no neighbour but v, as for
-        isolated vertices or a K2 component.
-        """
-        if self._twins is None:
-            adj = self._adj
-            index = {pair: e for e, pair in enumerate(self.edges)}
-            swaps = []
-            for rows in (adj, [tuple(sorted((*row, v))) for v, row in enumerate(adj)]):
-                latest: dict[tuple[int, ...], int] = {}
-                for v, row in enumerate(rows):
-                    u = latest.get(row)
-                    latest[row] = v
-                    if u is None:
-                        continue
-                    perm = list(range(self.m))
-                    for w in adj[u]:
-                        if w != v:
-                            a = index[(u, w) if u < w else (w, u)]
-                            b = index[(v, w) if v < w else (w, v)]
-                            perm[a], perm[b] = b, a
-                    first = next((e for e, f in enumerate(perm) if e != f), None)
-                    if first is not None:
-                        swaps.append((first, tuple(perm)))
-            self._twins = tuple(swaps)
-        return self._twins
 
     def _check_edge(self, e: int) -> None:
         if not _is_index(e, self.m):
@@ -208,19 +166,14 @@ def graph_metrics(g: Graph) -> GraphMetrics:
     """Degrees, connectivity class, diameter and longest simple path of ``g``."""
     n = g.n
     degrees = [len(row) for row in g._adj]
-    min_deg = min(degrees) if degrees else 0
-    max_deg = max(degrees) if degrees else 0
     connected = _is_connected(g)
-    tree = connected and g.m == n - 1
-    unicyclic = connected and g.m == n and n >= 3
-    diameter = max(_eccentricities(g)) if connected and n > 0 else None
     return GraphMetrics(
-        min_degree=min_deg,
-        max_degree=max_deg,
+        min_degree=min(degrees, default=0),
+        max_degree=max(degrees, default=0),
         connected=connected,
-        tree=tree,
-        unicyclic=unicyclic,
-        diameter=diameter,
+        tree=connected and g.m == n - 1,
+        unicyclic=connected and g.m == n and n >= 3,
+        diameter=max(_eccentricities(g)) if connected and n > 0 else None,
         longest_path_length=longest_path_length(g),
     )
 
@@ -452,6 +405,5 @@ def _int_pair(row: str, what: str) -> tuple[int, int]:
 
 def format_edge_list(g: Graph) -> str:
     """Serialize ``g`` in the edge-list text format (inverse of :func:`parse_edge_list`)."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines = [f"{g.n} {g.m}", *(f"{u} {v}" for u, v in g.edges)]
     return "\n".join(lines) + "\n"

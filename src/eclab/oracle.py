@@ -188,6 +188,9 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if not _is_index(self.max_vertices, float("inf")):
             raise InvalidSpec(f"max_vertices must be a nonnegative int, got {self.max_vertices!r}")
+        # Not a bare str, read as its letters, nor a list, which is unhashable.
+        if not (isinstance(self.classes, tuple) and all(isinstance(c, str) for c in self.classes)):
+            raise InvalidSpec(f"classes must be a tuple of str, got {self.classes!r}")
         for cls in self.classes:
             if cls not in _CLASSES:
                 raise InvalidSpec(f"unknown corpus class {cls!r}")

@@ -272,6 +272,14 @@ class TestSolver:
             edge_coalition_number(P6, max_edges=3)
         assert edge_coalition_number(P6, max_edges=5).ec == 4
 
+    @pytest.mark.parametrize("cap", [-1, "5", None, False, True, 5.0, math.inf])
+    def test_malformed_cap_is_refused_before_it_is_compared(self, cap):
+        # -1 was taken as a cap every graph exceeds, "5" and None raised a
+        # bare TypeError, and False was taken as the cap 0.
+        with pytest.raises(EclabError, match="max_edges must be a nonnegative int") as info:
+            edge_coalition_number(P6, max_edges=cap)
+        assert not isinstance(info.value, BudgetExceeded)
+
     def test_deterministic_witness(self):
         a = edge_coalition_number(P6)
         b = edge_coalition_number(P6)
@@ -327,10 +335,12 @@ class TestSolver:
         with pytest.raises(BudgetExceeded, match=r"within 0\.05s"):
             edge_coalition_lower_bound(P6, time_budget=0.05)
 
-    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0, True, False, "5", None])
     def test_lower_bound_rejects_negative_or_non_finite_budget(self, monkeypatch, budget):
         # A non-finite budget never runs out, so every order would run to
-        # the end; a negative one has run out before any order starts.
+        # the end; a negative one has run out before any order starts.  A
+        # bool or a value that is no number is refused too: True ran with a
+        # 1 s budget, and "5" and None raised a bare TypeError.
         def no_search(*args, **kwargs):
             raise AssertionError(f"searched with budget {budget}")
 
@@ -669,7 +679,7 @@ class TestPrefixPrunes:
 
 def _swapped_pairs(g: Graph) -> list[list[tuple[int, int]]]:
     """Each twin swap of ``g`` as its edge pairs (e, p[e]) with e < p[e]."""
-    return [[(e, f) for e, f in enumerate(p) if e < f] for _, p in g.twin_swaps()]
+    return [[(e, f) for e, f in enumerate(p) if e < f] for _, p in coalition._twin_swaps(g)]
 
 
 class TestTwinSymmetry:
@@ -727,13 +737,13 @@ class TestTwinSymmetry:
                 moved = [e for e in range(g.m) if p[e] != e]
                 if moved:
                     expected.append((moved[0], p))
-        assert g.twin_swaps() == tuple(expected)
+        assert coalition._twin_swaps(g) == tuple(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=7))
     def test_each_swap_is_an_edge_automorphism(self, g):
         closed = g.closed_edge_masks()
-        for first, p in g.twin_swaps():
+        for first, p in coalition._twin_swaps(g):
             moved = [e for e in range(g.m) if p[e] != e]
             assert first == moved[0]
             for e in range(g.m):
@@ -753,7 +763,7 @@ class TestTwinSymmetry:
         rng.shuffle(edges)
         g = Graph(g.n, edges)
         with_swaps = [coalition._find_partition_of_order(g, k) for k in range(1, g.m + 1)]
-        with mock.patch.object(Graph, "twin_swaps", lambda self: ()):
+        with mock.patch.object(coalition, "_twin_swaps", lambda g: ()):
             plain = [coalition._find_partition_of_order(g, k) for k in range(1, g.m + 1)]
         assert with_swaps == plain
 
@@ -850,7 +860,6 @@ class TestFrontierMemo:
         # about 20 KiB with the gate and about 2 MiB without it.
         g = complete_bipartite(4, 4)
         g.closed_edge_masks()
-        g.twin_swaps()
         tracemalloc.start()
         try:
             labels = coalition._find_partition_of_order(g, 12)

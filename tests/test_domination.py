@@ -82,6 +82,26 @@ class TestIsEdgeDominatingSet:
             check_edge_set(path_graph(3), [True])
 
     @pytest.mark.parametrize(
+        "members",
+        [[0, False], [False, 0], [1, True], [True, 1]],
+        ids=["0-False", "False-0", "1-True", "True-1"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, s: is_edge_dominating_set(g, s),
+            lambda g, s: forms_edge_coalition(g, s, [2]),
+        ],
+        ids=["dominating", "coalition"],
+    )
+    def test_bool_members_are_refused_in_either_order(self, call, members):
+        # A set keeps only the first of 0 and False, so checking the set
+        # instead of the members as given accepted [0, False] but not
+        # [False, 0].
+        with pytest.raises(GraphMismatch):
+            call(path_graph(4), members)
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda g: is_edge_dominating_set(g, [[0]]),

@@ -269,7 +269,7 @@ class TestIndependence:
 
     def test_oracle_builds_its_own_masks(self):
         # The oracle's edge masks come from its own pair loop, never from the
-        # masks and twin swaps the solver reads off the Graph.
+        # masks the solver reads off the Graph or the solver's twin swaps.
         source = Path(eclab.oracle.__file__).read_text()
         assert _solver_mask_attributes(source) == []
         borrowed = source + "\n\ndef _borrowed(g):\n    return g.closed_edge_masks()\n"
@@ -278,7 +278,7 @@ class TestIndependence:
 
 def _solver_mask_attributes(source: str) -> list[str]:
     """Attributes of the solver's edge masks that ``source`` reads."""
-    solver_masks = {"closed_edge_masks", "edge_neighbor_mask", "full_edge_mask", "twin_swaps"}
+    solver_masks = {"closed_edge_masks", "edge_neighbor_mask", "full_edge_mask", "_twin_swaps"}
     return [
         node.attr
         for node in ast.walk(ast.parse(source))
@@ -421,6 +421,13 @@ class TestCorpusApi:
         # or "3" a bare TypeError from the cap comparison.
         with pytest.raises(InvalidSpec, match="max_vertices must be a nonnegative int"):
             CorpusSpec(max_vertices, ("trees",))
+
+    @pytest.mark.parametrize("classes", ["trees", ["trees"], ("trees", None), (["trees"],)])
+    def test_classes_must_be_a_tuple_of_str(self, classes):
+        # A bare str was read as its letters ("unknown corpus class 't'"),
+        # and a list was accepted into a frozen spec that hash() refused.
+        with pytest.raises(InvalidSpec, match="classes must be a tuple of str"):
+            CorpusSpec(3, classes)
 
     def test_repeated_class_rejected(self):
         # A second export pass over a class would overwrite the first one's files.
