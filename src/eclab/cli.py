@@ -330,17 +330,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except OSError as exc:  # an unreadable input or an unwritable output
+    except (OSError, EclabError) as exc:  # OSError: an unreadable input or an unwritable output
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except NotAnEcPartition as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except EclabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BudgetExceeded):
+            return EXIT_BUDGET
+        if isinstance(exc, NotAnEcPartition):
+            return EXIT_NEGATIVE
         return EXIT_USAGE
 
 

@@ -1,10 +1,12 @@
 """Named graph families, closed-form coalition numbers, and recognizers.
 
-Family generators use a canonical layout so edge indices are reproducible:
-vertices are numbered as documented per family and the edge list is sorted
-lexicographically by endpoint pair.  Family specs are also expressible as
-CLI strings: ``path:6``, ``cycle:7``, ``star:5``, ``dstar:3,2``,
-``complete:4``, ``kbip:2,4``.
+Each family kind is one row of ``_KINDS``: its short CLI name, its
+parameter rule, its canonical graph, its edge count and its closed-form
+coalition number.  Family generators use a canonical layout so edge indices
+are reproducible: vertices are numbered as documented at ``_KINDS`` and the
+edge list is sorted lexicographically by endpoint pair.  Family specs are
+also expressible as CLI strings: ``path:6``, ``cycle:7``, ``star:5``,
+``dstar:3,2``, ``complete:4``, ``kbip:2,4``.
 """
 
 from __future__ import annotations
@@ -12,19 +14,79 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .errors import InvalidSpec, NotATree, NotUnicyclic
 from .graphs import Graph, _eccentricities, _is_connected, are_isomorphic
 
-#: Every family kind with its short CLI name; ``FamilySpec.parse`` accepts
-#: either spelling, in any case.
-_CLI_NAMES = {
-    "path": "path",
-    "cycle": "cycle",
-    "star": "star",
-    "double_star": "dstar",
-    "complete": "complete",
-    "complete_bipartite": "kbip",
+
+def _path_ec(n: int) -> int:
+    if n <= 5:
+        return n - 1
+    if n == 6:
+        return 4
+    if n <= 10:
+        return 5
+    return 6
+
+
+def _cycle_ec(n: int) -> int:
+    if n <= 6:
+        return n
+    if n == 7:
+        return 5
+    return 6
+
+
+def _complete_bipartite_ec(r: int, s: int) -> int | None:
+    # K_{1,s} is the star with s leaves.  K_{2,s} with s >= 2 and parts
+    # {a, b} and X has EC = 2s = m: the singleton partition is an
+    # ec-partition, since edge ax partners edge bx (their closed
+    # neighbourhoods hold every edge at a and at b, so all of them) and
+    # neither dominates (ax misses by for every other y in X, and bx misses
+    # ay).  For r, s >= 3 only lower bounds are known.
+    r, s = sorted((r, s))
+    if r == 1:
+        return s
+    if r == 2:
+        return 2 * s
+    return None
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One family kind; each function takes the spec's parameters, unpacked."""
+
+    short: str  # the CLI name
+    arity: int
+    valid: Callable[..., bool]
+    edge_count: Callable[..., int]  # read from the parameters, before any graph is built
+    closed_form_ec: Callable[..., int | None]
+    graph: Callable[..., tuple[int, list[tuple[int, int]]]]  # n and the (min, max) pairs
+
+
+#: Every family kind; ``FamilySpec.parse`` accepts the kind or its short
+#: name, in any case.  Vertex layout: paths and cycles sequential; star
+#: center 0; double-star centers 0 (a leaves) and 1 (b leaves), joined;
+#: complete-bipartite parts ``0..r-1`` and ``r..r+s-1``.
+_KINDS = {
+    "path": _Kind("path", 1, lambda n: n >= 2, lambda n: n - 1, _path_ec,
+                  lambda n: (n, [(i, i + 1) for i in range(n - 1)])),
+    "cycle": _Kind("cycle", 1, lambda n: n >= 3, lambda n: n, _cycle_ec,
+                   lambda n: (n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])),
+    "star": _Kind("star", 1, lambda s: s >= 1, lambda s: s, lambda s: s,
+                  lambda s: (s + 1, [(0, i) for i in range(1, s + 1)])),
+    "double_star": _Kind("dstar", 2, lambda a, b: a >= b >= 0, lambda a, b: a + b + 1,
+                         lambda a, b: a + b + 1,
+                         lambda a, b: (a + b + 2, [(0, 1)] + [(0, 2 + i) for i in range(a)]
+                                       + [(1, 2 + a + i) for i in range(b)])),
+    "complete": _Kind("complete", 1, lambda n: n >= 2, lambda n: n * (n - 1) // 2,
+                      lambda n: n * (n - 1) // 2 if n <= 5 else None,
+                      lambda n: (n, list(combinations(range(n), 2)))),
+    "complete_bipartite": _Kind("kbip", 2, lambda r, s: r >= 1 and s >= 1, lambda r, s: r * s,
+                                _complete_bipartite_ec,
+                                lambda r, s: (r + s, [(a, b) for a in range(r)
+                                                      for b in range(r, r + s)])),
 }
 
 
@@ -36,27 +98,20 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _CLI_NAMES:
+        if self.kind not in _KINDS:
             raise InvalidSpec(f"unknown family kind {self.kind!r}")
         p = self.params
         if not isinstance(p, tuple) or any(isinstance(x, bool) or not isinstance(x, int) for x in p):
             raise InvalidSpec(f"family parameters must be a tuple of integers, got {p!r}")
-        ok = {
-            "path": len(p) == 1 and p[0] >= 2,
-            "cycle": len(p) == 1 and p[0] >= 3,
-            "star": len(p) == 1 and p[0] >= 1,
-            "double_star": len(p) == 2 and p[0] >= p[1] >= 0,
-            "complete": len(p) == 1 and p[0] >= 2,
-            "complete_bipartite": len(p) == 2 and p[0] >= 1 and p[1] >= 1,
-        }[self.kind]
-        if not ok:
+        row = _KINDS[self.kind]
+        if len(p) != row.arity or not row.valid(*p):
             raise InvalidSpec(f"invalid parameters {p} for family {self.kind!r}")
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
         """Parse a CLI spec string such as ``"dstar:3,2"``."""
         name, sep, rest = text.partition(":")
-        kind = next((k for k, short in _CLI_NAMES.items() if name.lower() in (k, short)), None)
+        kind = next((k for k, row in _KINDS.items() if name.lower() in (k, row.short)), None)
         if not sep or kind is None:
             raise InvalidSpec(f"cannot parse family spec {text!r}")
         try:
@@ -66,55 +121,20 @@ class FamilySpec:
         return cls(kind, params)
 
     def to_string(self) -> str:
-        return f"{_CLI_NAMES[self.kind]}:" + ",".join(str(p) for p in self.params)
+        return f"{_KINDS[self.kind].short}:" + ",".join(str(p) for p in self.params)
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the canonical member of a family.
-
-    Vertex layout: paths/cycles sequential; star center 0; double-star
-    centers 0 (p leaves) and 1 (q leaves), joined; complete-bipartite parts
-    ``0..r-1`` and ``r..r+s-1``.  Every pair is built as ``(min, max)``, so
-    sorting them indexes the edges in lexicographic order.
-    """
-    kind, p = spec.kind, spec.params
-    if kind == "path":
-        n = p[0]
-        pairs = [(i, i + 1) for i in range(n - 1)]
-    elif kind == "cycle":
-        n = p[0]
-        pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    elif kind == "star":
-        n = p[0] + 1
-        pairs = [(0, i) for i in range(1, n)]
-    elif kind == "double_star":
-        leaves_a, leaves_b = p
-        n = leaves_a + leaves_b + 2
-        pairs = [(0, 1)]
-        pairs += [(0, 2 + i) for i in range(leaves_a)]
-        pairs += [(1, 2 + leaves_a + i) for i in range(leaves_b)]
-    elif kind == "complete":
-        n = p[0]
-        pairs = list(combinations(range(n), 2))
-    else:  # complete_bipartite
-        r, s = p
-        n = r + s
-        pairs = [(a, b) for a in range(r) for b in range(r, r + s)]
+    """Build the canonical member of a family, in the vertex layout of
+    ``_KINDS``.  Sorting the ``(min, max)`` pairs indexes the edges in
+    lexicographic order."""
+    n, pairs = _KINDS[spec.kind].graph(*spec.params)
     return Graph(n, sorted(pairs))
 
 
 def _edge_count(spec: FamilySpec) -> int:
     """``generate(spec).m``, read from the parameters without building the graph."""
-    kind, p = spec.kind, spec.params
-    if kind == "path":
-        return p[0] - 1
-    if kind in ("cycle", "star"):
-        return p[0]
-    if kind == "double_star":
-        return p[0] + p[1] + 1
-    if kind == "complete":
-        return p[0] * (p[0] - 1) // 2
-    return p[0] * p[1]  # complete_bipartite
+    return _KINDS[spec.kind].edge_count(*spec.params)
 
 
 def path_graph(n: int) -> Graph:
@@ -180,42 +200,7 @@ SINGLETON_EC_SPOT_CHECKS: dict[str, Graph] = {
 def closed_form_ec(spec: FamilySpec) -> int | None:
     """Known exact coalition number for a family member, or None if no
     closed form is covered (e.g. complete graphs beyond order 5)."""
-    kind, p = spec.kind, spec.params
-    if kind == "path":
-        n = p[0]
-        if n <= 5:
-            return n - 1
-        if n == 6:
-            return 4
-        if n <= 10:
-            return 5
-        return 6
-    if kind == "cycle":
-        n = p[0]
-        if n <= 6:
-            return n
-        if n == 7:
-            return 5
-        return 6
-    if kind == "star":
-        return p[0]
-    if kind == "double_star":
-        return p[0] + p[1] + 1
-    if kind == "complete":
-        n = p[0]
-        return n * (n - 1) // 2 if n <= 5 else None
-    # Complete bipartite: K_{1,s} is the star with s leaves.  K_{2,s} with
-    # s >= 2 and parts {a, b} and X has EC = 2s = m: the singleton partition
-    # is an ec-partition, since edge ax partners edge bx (their closed
-    # neighbourhoods hold every edge at a and at b, so all of them) and
-    # neither dominates (ax misses by for every other y in X, and bx misses
-    # ay).  For r, s >= 3 only lower bounds are known.
-    r, s = sorted(p)
-    if r == 1:
-        return s
-    if r == 2:
-        return 2 * s
-    return None
+    return _KINDS[spec.kind].closed_form_ec(*spec.params)
 
 
 # --- recognizers ------------------------------------------------------------

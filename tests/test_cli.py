@@ -79,18 +79,30 @@ class TestEc:
         assert (code, out) == (2, "")
         assert err == "error: ECLAB_MAX_EDGES must not be negative, got '-4'\n"
 
-    @pytest.mark.parametrize("n", [100_000, 1_000_000])
-    def test_over_cap_family_refused_before_the_graph_is_built(self, capsys, n):
+    @pytest.mark.parametrize(
+        "spec, m",
+        [
+            # The path cases are named by n alone.
+            pytest.param("path:100000", 99_999, id="100000"),
+            pytest.param("path:1000000", 999_999, id="1000000"),
+            pytest.param("cycle:1000000", 1_000_000, id="cycle:1000000"),
+            pytest.param("star:1000000", 1_000_000, id="star:1000000"),
+            pytest.param("dstar:500000,500000", 1_000_001, id="dstar:500000,500000"),
+            pytest.param("complete:100000", 4_999_950_000, id="complete:100000"),
+            pytest.param("kbip:100000,100000", 10_000_000_000, id="kbip:100000,100000"),
+        ],
+    )
+    def test_over_cap_family_refused_before_the_graph_is_built(self, capsys, spec, m):
         # P1000000 used to cost 432 MiB and 3 s of graph building before exit 3.
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, "ec", "--family", f"path:{n}")
+            code, out, err = run_cli(capsys, "ec", "--family", spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (code, out) == (3, "")
         assert err == (
-            f"error: graph has m={n - 1} edges, above the exact-mode cap 16; raise the cap "
+            f"error: graph has m={m} edges, above the exact-mode cap 16; raise the cap "
             "(--max-edges or ECLAB_MAX_EDGES) or use lower-bound mode (--lower-bound)\n"
         )
         assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MiB"

@@ -1,11 +1,15 @@
 """Tests for family generators, closed forms, and structural recognizers."""
 
+import re
+from itertools import product
+
 import pytest
 
 import eclab.graphs
 from eclab.coalition import edge_coalition_number, is_singleton_ec_graph
 from eclab.errors import InvalidSpec, NotATree, NotUnicyclic
 from eclab.families import (
+    _KINDS,
     FamilySpec,
     SmallEcClass,
     _edge_count,
@@ -31,19 +35,34 @@ from eclab.oracle import CorpusSpec, enumerate_corpus
 from eclab.theorems import run_check
 
 
+#: One spec string per family kind, in its short name.
+SAMPLE_SPECS = ("path:6", "cycle:7", "star:5", "dstar:3,2", "complete:4", "kbip:2,4")
+
+#: Refused spec strings with the exact message of their ``InvalidSpec``.
+INVALID_SPECS = [
+    ("path", "cannot parse family spec 'path'"),
+    ("path:1", "invalid parameters (1,) for family 'path'"),
+    ("cycle:2", "invalid parameters (2,) for family 'cycle'"),
+    ("star:0", "invalid parameters (0,) for family 'star'"),
+    ("dstar:1,2", "invalid parameters (1, 2) for family 'double_star'"),
+    ("kbip:0,3", "invalid parameters (0, 3) for family 'complete_bipartite'"),
+    ("blob:4", "cannot parse family spec 'blob:4'"),
+    ("path:x", "cannot parse family spec 'path:x'"),
+    ("double:3,2", "cannot parse family spec 'double:3,2'"),
+    ("d_star:3,2", "cannot parse family spec 'd_star:3,2'"),
+]
+
+
 class TestSpecsAndGenerators:
     def test_parse_round_trip(self):
-        for text in ("path:6", "cycle:7", "star:5", "dstar:3,2", "complete:4", "kbip:2,4"):
+        for text in SAMPLE_SPECS:
             spec = FamilySpec.parse(text)
             assert spec.to_string() == text
+        assert sorted(FamilySpec.parse(text).kind for text in SAMPLE_SPECS) == sorted(_KINDS)
 
-    @pytest.mark.parametrize(
-        "bad",
-        ["path", "path:1", "cycle:2", "star:0", "dstar:1,2", "kbip:0,3", "blob:4", "path:x",
-         "double:3,2", "d_star:3,2"],
-    )
-    def test_invalid_specs(self, bad):
-        with pytest.raises(InvalidSpec):
+    @pytest.mark.parametrize("bad, message", INVALID_SPECS, ids=[bad for bad, _ in INVALID_SPECS])
+    def test_invalid_specs(self, bad, message):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
             FamilySpec.parse(bad)
 
     def test_unknown_kind_refused_by_the_constructor(self):
@@ -59,23 +78,32 @@ class TestSpecsAndGenerators:
         with pytest.raises(InvalidSpec, match="family parameters must be a tuple of integers"):
             FamilySpec(kind, params)
 
+    @pytest.mark.parametrize(
+        "kind, size",
+        [(kind, size) for kind, row in _KINDS.items() for size in range(4) if size != row.arity],
+    )
+    def test_constructor_refuses_the_wrong_number_of_params(self, kind, size):
+        params = (3,) * size
+        message = f"invalid parameters {params} for family {kind!r}"
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            FamilySpec(kind, params)
+
     def test_edge_count_equals_generated_size(self):
-        specs = (
-            [FamilySpec("path", (n,)) for n in range(2, 30)]
-            + [FamilySpec("cycle", (n,)) for n in range(3, 30)]
-            + [FamilySpec("star", (s,)) for s in range(1, 30)]
-            + [FamilySpec("double_star", (p, q)) for p in range(12) for q in range(p + 1)]
-            + [FamilySpec("complete", (n,)) for n in range(2, 16)]
-            + [FamilySpec("complete_bipartite", (r, s)) for r in range(1, 10) for s in range(1, 10)]
-        )
-        for spec in specs:
-            assert _edge_count(spec) == generate(spec).m, spec
+        # Every valid spec of each kind with parameters below 30 (one parameter) or 12 (two).
+        for kind, row in _KINDS.items():
+            grid = product(range(30 if row.arity == 1 else 12), repeat=row.arity)
+            specs = [FamilySpec(kind, p) for p in grid if row.valid(*p)]
+            assert specs, kind
+            for spec in specs:
+                assert _edge_count(spec) == generate(spec).m, spec
 
     def test_parse_accepts_kind_or_short_name_in_any_case(self):
-        for text in ("double_star:3,2", "DSTAR:3,2", "Double_Star:3,2"):
-            assert FamilySpec.parse(text) == FamilySpec("double_star", (3, 2))
-        for text in ("complete_bipartite:2,4", "KBIP:2,4"):
-            assert FamilySpec.parse(text).to_string() == "kbip:2,4"
+        for text in SAMPLE_SPECS:
+            short, _, params = text.partition(":")
+            spec = FamilySpec.parse(text)
+            for name in (spec.kind, short, spec.kind.upper(), short.upper(), spec.kind.title()):
+                assert FamilySpec.parse(f"{name}:{params}") == spec
+                assert FamilySpec.parse(f"{name}:{params}").to_string() == text
 
     def test_path(self):
         g = path_graph(6)
