@@ -1,6 +1,6 @@
 """Coalition numbers of named families: closed forms against the solver.
 
-Run with:  python3 demos/02_family_tables.py   (about half a minute)
+Run with:  python3 demos/02_family_tables.py   (about 0.1 s on a 2-core x86 host)
 """
 
 import time

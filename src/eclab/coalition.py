@@ -174,14 +174,43 @@ def _partners(covers: Sequence[int], full: int, i: int) -> Iterator[int]:
             yield j
 
 
+#: ``(graph, certificate, covers)`` of the last partition :func:`_verify`
+#: certified; the certificate's blocks are the tuple it validated.
+_last_certified: tuple[Graph, EcCertificate, tuple[int, ...]] | None = None
+
+
 def _verify(
     g: Graph, blocks: Iterable[Iterable[int]]
-) -> tuple[EcCertificate | EcRejection, list[int]]:
-    """Verdict on ``blocks`` together with the cover of every block."""
+) -> tuple[EcCertificate | EcRejection, tuple[int, ...]]:
+    """Verdict on ``blocks`` together with the cover of every block.
+
+    The last certificate issued is kept with its graph and covers.  A call
+    with that very graph and that certificate's own blocks tuple (``is``,
+    not ``==``) returns them without judging again, so the solver's
+    certificate passed on to :func:`is_ec_partition`,
+    :func:`coalition_graph` and :func:`coalition_partner_count` is verified
+    once.  A hit is sound:
+
+    * the key is an immutable tuple of frozensets of validated ints, built
+      by :func:`validate_partition` below, so its contents never change;
+    * the entry holds the graph and the tuple by strong reference, so
+      neither identity can pass to another object while it is kept;
+    * an equal but distinct input, a list or any tuple a caller built, goes
+      the full route: ``(frozenset({False}),)`` equals
+      ``(frozenset({0}),)`` and is still refused.
+
+    A rejection is not kept: no caller can hold the tuple it was given.  The
+    entry is read once, so a store from another thread cannot pair one
+    entry's graph with another's blocks.
+    """
+    global _last_certified
+    last = _last_certified
+    if last is not None and last[0] is g and last[1].blocks is blocks:
+        return last[1], last[2]
     normalized = validate_partition(g, blocks)
     masks = g.closed_edge_masks()
     full = g.full_edge_mask
-    covers = [_cover_mask(masks, block) for block in normalized]
+    covers = tuple([_cover_mask(masks, block) for block in normalized])
 
     justifications: list[Justification] = []
     for i, block in enumerate(normalized):
@@ -194,10 +223,12 @@ def _verify(
         if partner is None:
             return EcRejection(i, NO_PARTNER), covers
         justifications.append(Partner(partner))
-    return EcCertificate(normalized, tuple(justifications)), covers
+    cert = EcCertificate(normalized, tuple(justifications))
+    _last_certified = (g, cert, covers)
+    return cert, covers
 
 
-def _verified(g: Graph, blocks: Iterable[Iterable[int]]) -> tuple[EcCertificate, list[int]]:
+def _verified(g: Graph, blocks: Iterable[Iterable[int]]) -> tuple[EcCertificate, tuple[int, ...]]:
     """Certificate and block covers of an ec-partition; raises otherwise."""
     cert, covers = _verify(g, blocks)
     if not cert:

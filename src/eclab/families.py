@@ -98,7 +98,8 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        # A list or dict kind would make the membership test a bare TypeError.
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise InvalidSpec(f"unknown family kind {self.kind!r}")
         p = self.params
         if not isinstance(p, tuple) or any(isinstance(x, bool) or not isinstance(x, int) for x in p):

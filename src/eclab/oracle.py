@@ -230,7 +230,6 @@ def export_corpus(spec: CorpusSpec, directory: str | Path) -> list[Path]:
     return written
 
 
-@lru_cache(maxsize=None)
 def graphs_of_order(cls: str, n: int) -> tuple[Graph, ...]:
     """Isomorphism-class representatives of the given class and order.
 
@@ -249,11 +248,24 @@ def graphs_of_order(cls: str, n: int) -> tuple[Graph, ...]:
     at S or before and keeps that candidate, never the one from T.
     """
     CorpusSpec(n, (cls,))  # refuses an unknown class or an order over its cap
+    return _kept(cls, n)[0]
+
+
+#: An order's representatives and, for each, the automorphisms (tuples p
+#: mapping vertex v to p[v]) that its canonical search met in :func:`_dedup`.
+_Kept = tuple[tuple[Graph, ...], tuple[tuple[tuple[int, ...], ...], ...]]
+
+
+@lru_cache(maxsize=None)
+def _kept(cls: str, n: int) -> _Kept:
+    """The representatives of :func:`graphs_of_order` with their
+    automorphisms, which :func:`_augmentations` reads when they are parents,
+    so no parent needs a second canonical search."""
     first, _, neighbor_masks = _CLASSES[cls]
     if n < first:
-        return ()
+        return (), ()
     if n == 1:
-        return (Graph(1),)
+        return _dedup([(1, [])])
     return _dedup(_augmentations(cls, n, neighbor_masks(n)))
 
 
@@ -265,11 +277,11 @@ def _augmentations(
     with every edge a normalised pair."""
     if cls == "unicyclic":
         yield n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    for g in graphs_of_order(cls, n - 1):
+    for g, automorphisms in zip(*_kept(cls, n - 1)):
         # Bit images under each automorphism the canonical search met; they
         # generate the parent's whole group, so a set is seen iff it lies in
         # the orbit of a set already yielded.
-        images = [[1 << p[v] for v in range(n - 1)] for p in _canonical_form(g.n, g.edges)[1]]
+        images = [[1 << p[v] for v in range(n - 1)] for p in automorphisms]
         seen: set[int] = set()
         for mask in masks:
             if mask in seen:
@@ -285,12 +297,16 @@ def _augmentations(
             yield n, list(g.edges) + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
 
 
-def _dedup(candidates: Iterable[tuple[int, list[tuple[int, int]]]]) -> tuple[Graph, ...]:
+def _dedup(candidates: Iterable[tuple[int, list[tuple[int, int]]]]) -> _Kept:
     """The first candidate of each isomorphism class, in candidate order, as
-    a :class:`Graph`; a candidate of a class already kept is never built."""
-    kept: dict[tuple[int, int], Graph] = {}
+    a :class:`Graph`, and the automorphisms its canonical search met; a
+    candidate of a class already kept is never built.  Equal automorphisms
+    of different graphs are kept as one tuple: connected order 8 meets
+    14,723 on its 11,117 graphs, 591 of them distinct."""
+    kept: dict[tuple[int, int], tuple[Graph, tuple[tuple[int, ...], ...]]] = {}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     for n, edges in candidates:
-        form = _canonical_form(n, edges)[0]
+        form, automorphisms = _canonical_form(n, edges)
         if form not in kept:
-            kept[form] = Graph(n, edges)
-    return tuple(kept.values())
+            kept[form] = (Graph(n, edges), tuple(shared.setdefault(p, p) for p in automorphisms))
+    return tuple(g for g, _ in kept.values()), tuple(a for _, a in kept.values())

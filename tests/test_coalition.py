@@ -959,6 +959,70 @@ class TestPartnerCount:
         assert checked > 100
 
 
+class TestVerdictMemo:
+    """The verifier keeps its last certificate, keyed by the graph and the
+    certificate's own blocks tuple, both by identity."""
+
+    @pytest.mark.parametrize(
+        "g", [P6, paw_graph(), complete_graph(4), net_graph()], ids=["P6", "paw", "K4", "net"]
+    )
+    def test_solver_certificate_is_verified_once(self, monkeypatch, g):
+        calls = []
+        real = coalition.validate_partition
+        monkeypatch.setattr(
+            coalition, "validate_partition", lambda graph, b: calls.append(b) or real(graph, b)
+        )
+        result = edge_coalition_number(g)
+        assert len(calls) == 1  # the solver certifies its labeling
+        blocks = result.certificate.blocks
+        assert is_ec_partition(g, blocks) is result.certificate
+        ecg = coalition_graph(g, blocks)
+        partners = [coalition_partner_count(g, blocks, i) for i in range(len(blocks))]
+        assert len(calls) == 1
+        assert partners == [ecg.degree(i) for i in range(ecg.n)]
+        # The full route gives an equal verdict.
+        assert is_ec_partition(g, [sorted(b) for b in blocks]) == result.certificate
+        assert len(calls) == 2
+
+    def test_equal_tuple_with_false_for_zero_is_refused(self):
+        blocks = edge_coalition_number(P6).certificate.blocks
+        forged = tuple(frozenset(False if e == 0 else e for e in b) for b in blocks)
+        assert forged == blocks and forged is not blocks
+        with pytest.raises(InvalidPartition, match="nonexistent edge False"):
+            is_ec_partition(P6, forged)
+        with pytest.raises(InvalidPartition, match="nonexistent edge False"):
+            coalition_graph(P6, forged)
+
+    def test_same_blocks_on_another_graph_are_judged_on_it(self):
+        blocks = edge_coalition_number(P6).certificate.blocks
+        # P6 with edges 1 and 2 listed the other way round.
+        h = Graph(6, [P6.edges[i] for i in (0, 2, 1, 3, 4)])
+        assert is_ec_partition(h, blocks) == EcRejection(block=1, reason=NO_PARTNER)
+        with pytest.raises(NotAnEcPartition, match="block 1 has no partner"):
+            coalition_graph(h, blocks)
+        with pytest.raises(NotAnEcPartition, match="block 1 has no partner"):
+            coalition_partner_count(h, blocks, 0)
+
+    def test_list_changed_between_calls_is_judged_again(self):
+        blocks = [[0, 4], [1], [2], [3]]
+        assert is_ec_partition(P6, blocks)
+        blocks[0].remove(4)
+        blocks.append([4])
+        assert is_ec_partition(P6, blocks) == EcRejection(block=2, reason=NO_PARTNER)
+        blocks[4].append(5)
+        with pytest.raises(InvalidPartition, match="nonexistent edge 5"):
+            is_ec_partition(P6, blocks)
+
+    def test_rejection_raises_on_every_call(self):
+        blocks = singleton_partition(P6)
+        for _ in range(3):
+            assert is_ec_partition(P6, blocks) == EcRejection(block=2, reason=NO_PARTNER)
+            with pytest.raises(NotAnEcPartition, match="block 2 has no partner"):
+                coalition_graph(P6, blocks)
+            with pytest.raises(NotAnEcPartition, match="block 2 has no partner"):
+                coalition_partner_count(P6, blocks, 0)
+
+
 class TestDerivedPredicates:
     def test_singleton_ec(self):
         assert is_singleton_ec_graph(cycle_graph(5))

@@ -38,7 +38,8 @@ from eclab.theorems import run_check
 #: One spec string per family kind, in its short name.
 SAMPLE_SPECS = ("path:6", "cycle:7", "star:5", "dstar:3,2", "complete:4", "kbip:2,4")
 
-#: Refused spec strings with the exact message of their ``InvalidSpec``.
+#: Refused spec strings, or ``(kind, params)`` constructor arguments, with the
+#: exact message of their ``InvalidSpec``.
 INVALID_SPECS = [
     ("path", "cannot parse family spec 'path'"),
     ("path:1", "invalid parameters (1,) for family 'path'"),
@@ -50,6 +51,10 @@ INVALID_SPECS = [
     ("path:x", "cannot parse family spec 'path:x'"),
     ("double:3,2", "cannot parse family spec 'double:3,2'"),
     ("d_star:3,2", "cannot parse family spec 'd_star:3,2'"),
+    # A kind that is not a str is unknown; a list or dict one was a bare TypeError.
+    ((["path"], (3,)), "unknown family kind ['path']"),
+    (({"path": 1}, (3,)), "unknown family kind {'path': 1}"),
+    ((None, (3,)), "unknown family kind None"),
 ]
 
 
@@ -60,10 +65,10 @@ class TestSpecsAndGenerators:
             assert spec.to_string() == text
         assert sorted(FamilySpec.parse(text).kind for text in SAMPLE_SPECS) == sorted(_KINDS)
 
-    @pytest.mark.parametrize("bad, message", INVALID_SPECS, ids=[bad for bad, _ in INVALID_SPECS])
+    @pytest.mark.parametrize("bad, message", INVALID_SPECS, ids=[str(bad) for bad, _ in INVALID_SPECS])
     def test_invalid_specs(self, bad, message):
         with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
-            FamilySpec.parse(bad)
+            FamilySpec.parse(bad) if isinstance(bad, str) else FamilySpec(*bad)
 
     def test_unknown_kind_refused_by_the_constructor(self):
         with pytest.raises(InvalidSpec, match="unknown family kind 'widget'"):
