@@ -289,7 +289,27 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         deficiency that no remaining edge can cover must already be covered
         by some other existing block (that part lies outside the block's own
         cover, so it is never its own);
+      * while a block is still to be opened, some open block must be able
+        to partner it (the anchor rule, below);
       * no twin swap may map the labeling onto a lex-smaller one.
+
+    Anchor rule.  A child at depth i + 1 with used < k must have an open
+    cover x with x | rem[i + 1] full, or it is cut.  This is step (a) of
+    :func:`_degree_bound`, the blocks meeting N[y] covering every edge of
+    the coalition graph, applied to the finalized edges y:
+      1. let F = full & ~rem[i + 1], the edges y with N[y] inside edges
+         0..i;
+      2. a block opened later holds only edges e >= i + 1, and since N is
+         symmetric no such N[e] meets F, so its cover misses F when F is
+         not empty;
+      3. it therefore neither dominates nor partners another block opened
+         later, and its partner is an open block whose final cover holds
+         F; later edges add only N[e] within rem[i + 1] to that cover, so
+         x | rem[i + 1] is full for its cover x now;
+      4. when F is empty every x passes, so the rule needs no special case.
+    The rule cuts only subtrees with no ec-partition of order k, so the
+    search returns the same witness, and refutes the same orders, as
+    without it.
 
     Completion test.  The slack after edges 0..j-1 are labelled is
     used + (m - j) - k, the number of remaining edges that may still join an
@@ -303,13 +323,14 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     on entry.  Every node entered has slack at least 1, so its children have
     slack at least 0, and depth m is never entered.
 
-    Partner test.  One test, ``partnered(blocks, r)``, serves the prune, on
-    the open covers with r = rem[i + 1], and the completion test, on the
-    final covers (covers[:used] and N[f] for each edge f >= j) with r = 0:
-    every cover x has x | r full, or x | r | y full for some cover y.  No
-    block of two or more edges dominates and a full one-edge block needs no
-    partner, so the rules ask this with y restricted to non-full covers; the
-    restriction changes no verdict, at any depth:
+    Partner test.  One test, :func:`_partnered`, serves the prune and the
+    anchor rule, on the open covers with r = rem[i + 1], and the completion
+    test, on the final covers (covers[:used] and N[f] for each edge f >= j)
+    with r = 0 and every block open: every cover x has x | r full, or
+    x | r | y full for some cover y.  No block of two or more edges
+    dominates and a full one-edge block needs no partner, so the rules ask
+    this with y restricted to non-full covers; the restriction changes no
+    verdict, at any depth:
       1. a full open block can only be a single full edge uv, and then every
          edge meets u or v;
       2. a block X whose cover x has x | r not full cannot hold an edge at u
@@ -322,10 +343,11 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
 
     Walking the forced tail one edge at a time would reach the same verdict,
     since every prune on the way is a necessary condition of the test: a new
-    block is never cut as dominating, and ``partnered`` asks only for a
-    potential partner.  Neither the twin cut nor the memo is applied in the
-    tail.  Each cuts a completion L that is an ec-partition only when L is
-    not the lex-least witness of the order; the search meets labelings in
+    block is never cut as dominating, ``_partnered`` asks only for a
+    potential partner, and the anchor rule cuts no prefix that an
+    ec-partition completes.  Neither the twin cut nor the memo is applied in
+    the tail.  Each cuts a completion L that is an ec-partition only when L
+    is not the lex-least witness of the order; the search meets labelings in
     lex order and never cuts the lex-least witness, so it returned a witness
     smaller than L before it reached L.  A completion that passes is
     therefore the lex-least witness, the same one the walked tail returns.
@@ -380,11 +402,12 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
       * block b is full exactly when (b, b) is not dead and its cover
         contains rem[i];
       * at any depth j >= i, covers[b] | rem[j] | covers[c] in
-        ``partnered`` is full exactly when F_j & ~(covers[b] | covers[c]) is
-        0, that is when (b, c) is not dead and the two covers together hold
-        F_j & rem[i]; covers[b] | rem[j] is the case c = b;
+        ``_partnered`` is full exactly when F_j & ~(covers[b] | covers[c])
+        is 0, that is when (b, c) is not dead and the two covers together
+        hold F_j & rem[i]; covers[b] | rem[j], which the partner test and
+        the anchor rule read, is the case c = b;
       * the slack reads only ``used``, and a completion test decides what
-        ``partnered`` decides at depth m on the completed labeling.
+        ``_partnered`` decides at depth m on the completed labeling.
     Two nodes with equal keys therefore have subtrees with the same
     completions that are ec-partitions of order k.  Every failed node is
     recorded, walks or not.  A later node with an equal key has a lex-larger
@@ -396,7 +419,7 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     without the memo.  ``dead`` is a k*k-bit int, bit b*k + c for the pair
     (b, c), grown without a rescan: on entry to depth i, each edge y of
     fin[i], finalized by labelling edge i - 1, adds every pair inside the
-    blocks that do not meet N[y].  Only children that pass ``partnered``,
+    blocks that do not meet N[y].  Only children that pass ``_partnered``,
     which does not read it, pay for that update.
     The key repeats where the labelled part of the frontier is narrow and
     costs O(k²) bits per node, so the memo is on only for edge orders whose
@@ -406,10 +429,11 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     existing block that the search is small and its keys rarely repeat.  On
     the orders of the graphs of width at most 2 among connected graphs with
     n <= 7 and m <= 10, trees with n <= 10 and unicyclic graphs with n <= 9,
-    the memo took 1.74, 1.36, 1.15, 1.32 and 1.93 times as long as the plain
-    search at slack 1, 2, 3, 4 and above (medians of 15 interleaved rounds);
-    the gate cuts their exact EC time by about 20 %.  P17 at k = 6 has slack
-    10 and takes a million nodes without the memo.
+    the memo took 1.81, 1.44, 1.23, 1.32 and 1.95 times as long as the plain
+    search at slack 1, 2, 3, 4 and above (medians of 15 interleaved rounds,
+    the median of four such runs); the gate cuts their exact EC time by
+    about 20 %.  P17 at k = 6 has slack 10 and takes 418,953 nodes without
+    the memo and 1,466 with it.
     """
     m = g.m
     if k > m:
@@ -439,19 +463,6 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
             fin[mask.bit_length()].append([e for e in range(m) if mask >> e & 1])
         # squares[have]: the pairs inside the blocks outside the label set have.
         squares: dict[int, int] = {}
-
-    def partnered(blocks: Sequence[int], r: int) -> bool:
-        """True iff every cover x in ``blocks`` has a potential partner:
-        x | r is full, or x | r | y is for some y in ``blocks``."""
-        for x in blocks:
-            x |= r
-            if x != full:
-                for y in blocks:
-                    if x | y == full:
-                        break
-                else:
-                    return False
-        return True
 
     def advance(walks: tuple, i: int) -> tuple | None:
         """The walks for the subtree below edge i, just labelled, or None
@@ -496,7 +507,7 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
         """The completion test of a prefix of edges 0..j-1 with no slack; on
         a pass, labels[j:] holds the completion."""
         tick()
-        if not partnered((*covers[:used], *closed[j:]), 0):
+        if not _partnered((*covers[:used], *closed[j:]), 0, full, True):
             return False
         labels[j:] = range(used, k)
         return True
@@ -536,7 +547,11 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
                     return True
             else:
                 below = advance(walks, i) if walks else walks
-                if below is not None and partnered(covers[:used], rem[i + 1]) and rec(i + 1, below, dead):
+                if (
+                    below is not None
+                    and _partnered(covers[:used], rem[i + 1], full, used == k)
+                    and rec(i + 1, below, dead)
+                ):
                     return True
             covers[b] = old_cover
             if not old_cover:
@@ -551,6 +566,24 @@ def _find_partition_of_order(g: Graph, k: int, deadline: float = math.inf) -> li
     for first, p in _twin_swaps(g):
         starts[first] += (p,)
     return list(labels) if rec(0, (), 0) else None
+
+
+def _partnered(blocks: Sequence[int], r: int, full: int, anchored: bool) -> bool:
+    """True iff every cover x in ``blocks`` has a potential partner (x | r
+    is ``full``, or x | r | y is for some y in ``blocks``) and, unless
+    ``anchored``, some x | r is ``full``: the partner test and the anchor
+    rule of :func:`_find_partition_of_order`."""
+    for x in blocks:
+        x |= r
+        if x == full:
+            anchored = True
+        else:
+            for y in blocks:
+                if x | y == full:
+                    break
+            else:
+                return False
+    return anchored
 
 
 _MEMO_WIDTH = 2

@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coalition import (
+    EcResult,
     coalition_graph,
     ec_bounds,
     edge_coalition_number,
@@ -63,12 +64,17 @@ class CheckResult:
 
 
 @lru_cache(maxsize=None)
-def _solve(g: Graph):
-    return edge_coalition_number(g)
+def _solve(g: Graph) -> tuple[EcResult, Graph]:
+    """The exact EC result of ``g`` and the coalition graph of its
+    certificate.  The graph is built right after the solve, while the
+    verifier still holds the certificate it issued, so it is not validated
+    and judged a second time."""
+    result = edge_coalition_number(g)
+    return result, coalition_graph(g, result.certificate.blocks)
 
 
 def _ec(g: Graph) -> int:
-    return _solve(g).ec
+    return _solve(g)[0].ec
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +106,7 @@ def _check_paths() -> tuple[bool, str]:
     bad = _closed_form_mismatch(FamilySpec("path", (n,)) for n in range(2, 15))
     if bad:
         return False, bad
-    witness = _solve(path_graph(13)).certificate
+    witness = _solve(path_graph(13))[0].certificate
     if witness.order != 6:
         return False, f"P_13 witness order {witness.order} != 6"
     return True, "paths n=2..14 match; P_13 witness has 6 blocks"
@@ -251,9 +257,8 @@ def _check_partner_cap() -> tuple[bool, str]:
         delta = max(map(g.degree, range(g.n)))
         if delta < 2:
             continue
-        cert = _solve(g).certificate
-        ecg = coalition_graph(g, cert.blocks)
-        for i in range(cert.order):
+        result, ecg = _solve(g)
+        for i in range(result.ec):
             checked += 1
             if ecg.degree(i) > 2 * delta - 1:
                 return False, f"{g.edges}: block {i} exceeds 2*Delta-1"

@@ -410,6 +410,18 @@ def _restricted_growth_strings(m: int) -> list[list[int]]:
     return strings
 
 
+@st.composite
+def _sparse_graphs(draw, max_n: int = 8) -> Graph:
+    """A tree on 2 to ``max_n`` vertices, with or without one more edge, its
+    edges in a random order: the long sparse graphs where the anchor rule
+    cuts."""
+    n = draw(st.integers(2, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges += draw(st.lists(st.sampled_from(chords), max_size=1)) if chords else []
+    return Graph(n, draw(st.permutations(edges)))
+
+
 def _disjoint_union(*parts: Graph) -> Graph:
     edges, n = [], 0
     for g in parts:
@@ -588,7 +600,7 @@ class TestPrefixPrunes:
         cricket = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4)])
         assert coalition._find_partition_of_order(cricket, 4) == [0, 1, 1, 2, 3]
         # Each forced tail is one completion test and enters no node: K3,5
-        # at k = 13 is refuted in 42 nodes and 218 completion tests (pinned
+        # at k = 13 is refuted in 41 nodes and 218 completion tests (pinned
         # in test_node_and_completion_test_counts), where walking the tails
         # edge by edge enters 235 nodes.  Clock reads bound the work as
         # above, and it makes none.
@@ -600,9 +612,9 @@ class TestPrefixPrunes:
     @pytest.mark.parametrize(
         "g, k, found, nodes, tests",
         [
-            (complete_bipartite(4, 4), 12, True, 1851, 14778),
-            (path_graph(17), 6, True, 2216, 1549),
-            (complete_bipartite(3, 5), 13, False, 42, 218),
+            (complete_bipartite(4, 4), 12, True, 1835, 14602),
+            (path_graph(17), 6, True, 1466, 865),
+            (complete_bipartite(3, 5), 13, False, 41, 218),
         ],
         ids=["K44-k12", "P17-k6", "K35-k13"],
     )
@@ -657,10 +669,43 @@ class TestPrefixPrunes:
 
         assert partnered(True) == partnered(False)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_sparse_graphs())
+    # P7 is the shortest path with a prefix that only the anchor rule
+    # cuts: after [0, 0, 1, 1, 1] for k = 3, no open cover holds both
+    # edge 0 and edge 3 together with the last edge's.  Every edge of the
+    # star is full, so after [0] the one open block is a full edge; the
+    # rule must still pass it, or the singleton partition of order 3 is
+    # lost.
+    @example(path_graph(7))
+    @example(star_graph(3))
+    def test_anchor_rule_cuts_no_completable_prefix(self, g):
+        # Every prefix of every order k, not only those the search reaches:
+        # when the partner test with the anchor rule cuts one, no completion
+        # of order k is an ec-partition by the oracle's definition.
+        closed, full, m = g.closed_edge_masks(), g.full_edge_mask, g.m
+        completable = set()
+        for labels in _restricted_growth_strings(m):
+            k = max(labels) + 1
+            if accepts_partition(g, [[e for e, b in enumerate(labels) if b == c] for c in range(k)]):
+                completable.update((tuple(labels[:j]), k) for j in range(1, m + 1))
+        for j in range(1, m + 1):
+            rem = 0
+            for e in range(j, m):
+                rem |= closed[e]
+            for labels in _restricted_growth_strings(j):
+                used = max(labels) + 1
+                covers = [0] * used
+                for e, b in enumerate(labels):
+                    covers[b] |= closed[e]
+                for k in range(used, used + m - j + 1):
+                    if not coalition._partnered(covers, rem, full, used == k):
+                        assert (tuple(labels), k) not in completable, (labels, k)
+
     def test_completion_tests_read_the_clock(self, monkeypatch):
         # Completion tests count toward the once-per-4,096 clock read, so a
         # search made mostly of them still meets its deadline: K4,4 at
-        # k = 12 runs 1,851 nodes and 14,778 completion tests, and would
+        # k = 12 runs 1,835 nodes and 14,602 completion tests, and would
         # read the clock no time at all from its nodes alone.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
