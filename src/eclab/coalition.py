@@ -37,7 +37,7 @@ from .errors import (
     InvalidPartition,
     NotAnEcPartition,
 )
-from .graphs import Graph, _bfs_distances, _is_index, are_isomorphic, is_full_edge
+from .graphs import Graph, _bfs_distances, _is_index, are_isomorphic
 
 DEFAULT_EXACT_EDGE_CAP = 16
 
@@ -836,12 +836,11 @@ def ec_bounds(g: Graph) -> BoundReport:
     Inapplicable bounds are reported with a reason rather than dropped.
     """
     _require_edges(g)
-    m = g.m
-    n = g.n
+    m, n, closed = g.m, g.n, g.closed_edge_masks()
     degrees = [len(row) for row in g._adj]
     delta = min(degrees)
-    has_full_edge = any(is_full_edge(g, e) for e in range(m))
-    has_isolated_edge = any(g.edge_neighbor_mask(e) == 0 for e in range(m))
+    has_full_edge = g.full_edge_mask in closed
+    has_isolated_edge = any(c == 1 << e for e, c in enumerate(closed))
     is_complete = m == n * (n - 1) // 2 and n >= 2
     universal = sum(1 for d in degrees if d == n - 1)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -309,16 +310,18 @@ def small_ec_classifier(g: Graph) -> SmallEcClass:
     Everything else maps to OTHER.  Deliberately independent of the solver
     so the two can cross-check each other.
     """
-    if g.m < 1:
-        return SmallEcClass.OTHER
-    if are_isomorphic(g, complete_graph(2)):
-        return SmallEcClass.EC1
-    if are_isomorphic(g, path_graph(3)) or are_isomorphic(g, two_disjoint_edges()):
-        return SmallEcClass.EC2
-    for target in (cycle_graph(3), path_graph(4), star_graph(3)):
+    for cls, target in _small_ec_targets():
         if are_isomorphic(g, target):
-            return SmallEcClass.EC3
+            return cls
     return SmallEcClass.OTHER
+
+
+@lru_cache(maxsize=None)
+def _small_ec_targets() -> tuple[tuple[SmallEcClass, Graph], ...]:
+    # Built on first use, since an import-time allocation shifts the GC phase.
+    ec1, ec2, ec3 = SmallEcClass.EC1, SmallEcClass.EC2, SmallEcClass.EC3
+    return ((ec1, complete_graph(2)), (ec2, path_graph(3)), (ec2, two_disjoint_edges()),
+            (ec3, cycle_graph(3)), (ec3, path_graph(4)), (ec3, star_graph(3)))
 
 
 # --- built-in partitions of K_{2,4} -----------------------------------------

@@ -1,5 +1,6 @@
 """Tests for coalition predicates, partition verification, and the solver."""
 
+import contextlib
 import itertools
 import json
 import math
@@ -528,6 +529,23 @@ class TestSearchRoute:
             solve(P6)
 
 
+@contextlib.contextmanager
+def _search_calls():
+    """Count the rec and completes calls of the order-k search in the block."""
+    calls = {"rec": 0, "completes": 0}
+
+    def count(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "call" and name in calls and frame.f_globals is vars(coalition):
+            calls[name] += 1
+
+    sys.setprofile(count)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
 class TestPrefixPrunes:
     """Each rule that cuts a labeling prefix in the order-k search, pinned
     by a direct search whose result the rule decides."""
@@ -622,18 +640,8 @@ class TestPrefixPrunes:
         # Exact counts of rec calls and completes calls, so a prune, memo
         # or twin cut that grows weaker fails here even when every verdict
         # stays the same.
-        calls = {"rec": 0, "completes": 0}
-
-        def count(frame, event, arg):
-            name = frame.f_code.co_name
-            if event == "call" and name in calls and frame.f_globals is vars(coalition):
-                calls[name] += 1
-
-        sys.setprofile(count)
-        try:
+        with _search_calls() as calls:
             labels = coalition._find_partition_of_order(g, k)
-        finally:
-            sys.setprofile(None)
         assert (labels is not None, calls["rec"], calls["completes"]) == (found, nodes, tests)
 
     @settings(max_examples=60, deadline=None)
@@ -838,8 +846,9 @@ class TestTwinSymmetry:
 
     def test_mirror_images_are_not_refuted_again(self, monkeypatch):
         # Clock reads bound the nodes as in TestPrefixPrunes: K4,4 at k = 13
-        # is refuted with 34 reads (about 140k nodes) without the cut, and
-        # with none, so in under 4,096 nodes, with it.
+        # is refuted in 8,697 nodes and 81,252 completion tests, with 21
+        # reads, without the cut, and with none, in 368 nodes and 2,917
+        # completion tests, with it.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
         assert coalition._find_partition_of_order(complete_bipartite(4, 4), 13) is None
@@ -892,8 +901,9 @@ class TestFrontierMemo:
     )
     def test_sparse_finds_bound_the_nodes(self, monkeypatch, g, labels):
         # Clock reads bound the nodes as in TestPrefixPrunes: at k = 6 the
-        # search without the memo finds these witnesses in 1,065,098 (P17)
-        # and 788,892 (C17) nodes, and with it in under 4,096.
+        # search without the memo finds these witnesses in 418,953 nodes and
+        # 1,421,245 completion tests (P17) and in 317,897 nodes and 948,645
+        # completion tests (C17), and with it in under 4,096.
         reads = []
         monkeypatch.setattr(coalition.time, "monotonic", lambda: reads.append(1) or 0.0)
         assert coalition._find_partition_of_order(g, 6) == labels
