@@ -2,8 +2,8 @@
 
 The library is organized in thin layers:
 
-* :mod:`eclab.graphs`: immutable simple graphs, full edges, line graphs,
-  metrics, small-graph isomorphism, edge-list text I/O;
+* :mod:`eclab.graphs`: immutable simple graphs with closed edge masks,
+  line graphs, metrics, small-graph isomorphism, edge-list text I/O;
 * :mod:`eclab.domination`: edge-dominating-set predicates and the exact
   edge/vertex domination numbers;
 * :mod:`eclab.coalition`: coalition predicate, ec-partition verification
@@ -64,7 +64,6 @@ from .graphs import (
     are_isomorphic,
     format_edge_list,
     graph_metrics,
-    is_full_edge,
     line_graph,
     parse_edge_list,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "graph_metrics",
     "is_ec_partition",
     "is_edge_dominating_set",
-    "is_full_edge",
     "is_self_edge_coalition_graph",
     "is_singleton_ec_graph",
     "line_graph",

@@ -12,7 +12,7 @@ class EclabError(Exception):
 
 
 class OutOfRangeVertex(EclabError, ValueError):
-    """An edge endpoint is not a valid vertex index."""
+    """A vertex, vertex count, edge or edge list is malformed or out of range."""
 
 
 class SelfLoop(EclabError, ValueError):
@@ -21,10 +21,6 @@ class SelfLoop(EclabError, ValueError):
 
 class DuplicateEdge(EclabError, ValueError):
     """The same unordered vertex pair occurs twice in an edge list."""
-
-
-class EdgeIndexOutOfRange(EclabError, IndexError):
-    """An edge index is not in ``range(m)``."""
 
 
 class GraphMismatch(EclabError, ValueError):

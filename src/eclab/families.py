@@ -171,11 +171,6 @@ def two_disjoint_edges() -> Graph:
     return Graph(4, [(0, 1), (2, 3)])
 
 
-def paw_graph() -> Graph:
-    """Triangle with one pendant leaf."""
-    return Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-
-
 def net_graph() -> Graph:
     """Triangle with one pendant leaf at each vertex."""
     return Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])

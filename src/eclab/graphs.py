@@ -4,10 +4,10 @@ Edges are stored in insertion order and addressed everywhere in the
 library by their 0-based index; sets of edges are plain ``frozenset``
 objects of indices.  A :class:`Graph` stores the edge list and builds
 from it, on first use, one bitmask per edge, its closed edge
-neighbourhood N[e]; every other edge relation (open neighbourhoods, the
-line graph) is read from those bits.  A :class:`Graph` is immutable
-after construction and each fill always stores the same value, so
-instances can be shared freely between threads and reused as keys.
+neighbourhood N[e]; the line graph, the solver, the verifier and the
+bounds all read those bits.  A :class:`Graph` is immutable after
+construction and each fill always stores the same value, so instances
+can be shared freely between threads and reused as keys.
 
 The module also provides the edge-list text format used by the CLI:
 a header line ``"n m"`` followed by ``m`` lines ``"u v"``; blank lines
@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateEdge,
-    EdgeIndexOutOfRange,
     InvalidSpec,
     OutOfRangeVertex,
     SelfLoop,
@@ -58,7 +57,15 @@ class Graph:
         # slot holding the shared empty tuple, so a header that declares
         # millions of vertices stays small.
         adj: defaultdict[int, list[int]] = defaultdict(list)
-        for u, v in edges:
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise OutOfRangeVertex(f"edges must be an iterable of pairs, got {edges!r}") from None
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):  # not unpackable, or not two items
+                raise OutOfRangeVertex(f"edge {edge!r} is not a pair of vertices") from None
             if not (_is_index(u, n) and _is_index(v, n)):
                 raise OutOfRangeVertex(f"edge ({u!r}, {v!r}) needs int endpoints in 0..{n - 1}")
             if u == v:
@@ -97,14 +104,6 @@ class Graph:
             raise OutOfRangeVertex(f"vertex {v!r} not in 0..{self.n - 1}")
         return self._adj[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _is_index(u, self.n) and _is_index(v, self.n) and v in self._adj[u]
-
-    def edge_neighbor_mask(self, e: int) -> int:
-        """Open neighborhood of edge ``e`` as a bitmask (``e`` excluded)."""
-        self._check_edge(e)
-        return self.closed_edge_masks()[e] ^ 1 << e
-
     def closed_edge_masks(self) -> tuple[int, ...]:
         """Closed neighborhood masks ``N[e] = N(e) | {e}`` for all edges."""
         if self._closed is None:
@@ -116,10 +115,6 @@ class Graph:
             self._closed = tuple(incident[u] | incident[v] for u, v in self.edges)
         return self._closed
 
-    def _check_edge(self, e: int) -> None:
-        if not _is_index(e, self.m):
-            raise EdgeIndexOutOfRange(f"edge index {e!r} not in 0..{self.m - 1}")
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
@@ -128,11 +123,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def is_full_edge(g: Graph, e: int) -> bool:
-    """True iff edge ``e`` is adjacent to every other edge (edge degree m-1)."""
-    return g.edge_neighbor_mask(e).bit_count() == g.m - 1
 
 
 def line_graph(g: Graph) -> Graph:
@@ -144,17 +134,12 @@ def line_graph(g: Graph) -> Graph:
 
 @dataclass(frozen=True)
 class GraphMetrics:
-    """Basic structural facts about one graph.
+    """Connectivity class, diameter and longest path of one graph.
 
-    ``diameter`` is ``None`` for disconnected graphs (undefined, not an
-    error).  ``longest_path_length`` counts edges.  Its DFS stops at the
-    first path through every vertex of the largest component, and is
-    exhaustive, so exponential in n, on graphs without such a path (see
-    :func:`longest_path_length`).
+    ``diameter`` is ``None`` for a disconnected graph (undefined, not an
+    error).  ``longest_path_length`` counts edges; see :func:`longest_path_length`.
     """
 
-    min_degree: int
-    max_degree: int
     connected: bool
     tree: bool
     unicyclic: bool
@@ -163,17 +148,13 @@ class GraphMetrics:
 
 
 def graph_metrics(g: Graph) -> GraphMetrics:
-    """Degrees, connectivity class, diameter and longest simple path of ``g``."""
-    n = g.n
-    degrees = [len(row) for row in g._adj]
+    """Connectivity class, diameter and longest simple path of ``g``."""
     connected = _is_connected(g)
     return GraphMetrics(
-        min_degree=min(degrees, default=0),
-        max_degree=max(degrees, default=0),
         connected=connected,
-        tree=connected and g.m == n - 1,
-        unicyclic=connected and g.m == n and n >= 3,
-        diameter=max(_eccentricities(g)) if connected and n > 0 else None,
+        tree=connected and g.m == g.n - 1,
+        unicyclic=connected and g.m == g.n and g.n >= 3,
+        diameter=max(_eccentricities(g)) if connected and g.n > 0 else None,
         longest_path_length=longest_path_length(g),
     )
 

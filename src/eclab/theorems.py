@@ -399,19 +399,20 @@ CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
 
 def run_all(tags: Sequence[str] | None = None) -> Iterator[CheckResult]:
     """Yield each result of the suite, or of the checks in ``tags``, in
-    ``CHECKS`` order as its check finishes.  Unknown tags raise
-    :class:`EclabError` before any check runs.  ``CHECKS`` is read at call
-    time, so a caller may replace it (the benchmark tracer wraps each check).
+    ``CHECKS`` order as its check finishes.  A bare str, unknown tags and
+    repeated tags raise :class:`EclabError` before any check runs.  ``CHECKS``
+    is read at call time, so a caller such as the benchmark tracer may replace it.
     """
     checks = CHECKS
     if tags is not None:
+        if isinstance(tags, str):  # would be read as its letters
+            raise EclabError(f"check tags must be a sequence of str, got the str {tags!r}")
         known = {tag for tag, _ in checks}
         unknown = [t for t in tags if t not in known]
         if unknown:
             raise EclabError(f"unknown check tags: {', '.join(map(repr, unknown))}")
+        for tag in tags:
+            if tags.count(tag) > 1:  # would run once
+                raise EclabError(f"check tag {tag!r} is listed more than once")
         checks = tuple((tag, fn) for tag, fn in checks if tag in tags)
     return (CheckResult(tag, *fn()) for tag, fn in checks)
-
-
-def run_check(tag: str) -> CheckResult:
-    return next(run_all((tag,)))

@@ -36,7 +36,6 @@ from eclab.theorems import (
     k24_preset_mismatches,
     p3_bound_sharp,
     run_all,
-    run_check,
     self_coalition_census,
     star_ecg_mismatches,
 )
@@ -60,7 +59,7 @@ _DESCRIPTIONS = {
 
 
 def _report(tag: str):
-    result = run_check(tag)
+    result = next(run_all((tag,)))
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {_DESCRIPTIONS[tag]} -- {result.detail}")
     return result
@@ -230,7 +229,7 @@ def test_recognizer_sweep_reads_the_bound_corpus(monkeypatch, tag, recognizer, c
         return original(g)
 
     monkeypatch.setattr(eclab.theorems, recognizer, recording)
-    assert run_check(tag).passed
+    assert next(run_all((tag,))).passed
     bound = {id(g) for g in eclab.theorems._bound_corpus()}
     assert all(id(g) in bound for g in swept)
     enumerated = [g for g in enumerate_corpus(CorpusSpec(max_n, (cls,))) if g.m >= 1]
@@ -289,5 +288,15 @@ def test_unknown_tags_raise_before_any_check_runs(monkeypatch):
     with pytest.raises(EclabError, match="unknown check tags: 'nonsense', 'bad'$"):
         run_all(["nonsense", "paths-closed-form", "bad"])
     with pytest.raises(EclabError, match="unknown check tags: 'nonsense'$"):
-        run_check("nonsense")
+        run_all(("nonsense",))
+    assert ran == []
+
+
+def test_a_bare_str_or_a_repeated_tag_raises_before_any_check_runs(monkeypatch):
+    # Unchecked, a str reads as its letters and a repeated tag runs once.
+    ran = _spy_checks(monkeypatch)
+    with pytest.raises(EclabError, match="got the str 'paths-closed-form'$"):
+        run_all("paths-closed-form")
+    with pytest.raises(EclabError, match="tag 'paths-closed-form' is listed more than once"):
+        run_all(["paths-closed-form", "gamma-prime-identity", "paths-closed-form"])
     assert ran == []

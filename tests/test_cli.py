@@ -480,6 +480,13 @@ class TestTheorems:
         assert (code, out) == (2, "")
         assert err == f"error: unknown check tags: {tags}\n"
 
+    def test_repeated_tag_is_usage_error(self, capsys):
+        # Unchecked, the check runs once and reports 1/1 checks passed.
+        only = "cycles-closed-form,cycles-closed-form"
+        code, out, err = run_cli(capsys, "theorems", "--only", only)
+        assert (code, out) == (2, "")
+        assert err == "error: check tag 'cycles-closed-form' is listed more than once\n"
+
     def test_full_suite_output(self, capsys):
         # Criteria 9 and 11 fail on purpose: both refute claims of the paper.
         code, out, err = run_cli(capsys, "theorems")
@@ -527,6 +534,20 @@ def test_only_the_cli_writes_to_stdout():
                 offenders.append(f"{path.name}:{node.lineno} .stdout")
     assert len(list(package.glob("*.py"))) > 5, "no modules found"
     assert offenders == []
+
+
+def test_all_lists_exactly_the_public_names_the_package_imports():
+    # A stale entry would make `from eclab import *` raise AttributeError.
+    tree = ast.parse(Path(eclab.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert [name for name in eclab.__all__ if not hasattr(eclab, name)] == []
+    assert sorted(eclab.__all__) == sorted(imported)
 
 
 def test_console_entry_point():

@@ -55,7 +55,6 @@ from eclab.families import (
     cycle_graph,
     net_graph,
     path_graph,
-    paw_graph,
     star_graph,
     two_disjoint_edges,
 )
@@ -71,6 +70,7 @@ from eclab.oracle import (
 from test_graphs import small_graphs
 
 P6 = path_graph(6)
+PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # a triangle with one pendant leaf
 # The classic four-block partition of P6: end edges pooled, middle singletons.
 P6_PARTITION = (frozenset({0, 4}), frozenset({1}), frozenset({2}), frozenset({3}))
 
@@ -137,7 +137,7 @@ class TestIsEcPartition:
     def test_dominating_singleton_accepted_only_as_full_edge(self):
         # In the paw, edges (0,2) and (1,2) are full; their singleton blocks
         # are legal, while the remaining two blocks pair up as partners.
-        g = paw_graph()
+        g = PAW
         cert = is_ec_partition(g, singleton_partition(g))
         assert cert
         kinds = [type(j) for j in cert.justifications]
@@ -1019,7 +1019,7 @@ class TestVerdictMemo:
     certificate's own blocks tuple, both by identity."""
 
     @pytest.mark.parametrize(
-        "g", [P6, paw_graph(), complete_graph(4), net_graph()], ids=["P6", "paw", "K4", "net"]
+        "g", [P6, PAW, complete_graph(4), net_graph()], ids=["P6", "paw", "K4", "net"]
     )
     def test_solver_certificate_is_verified_once(self, monkeypatch, g):
         calls = []
@@ -1260,7 +1260,7 @@ def test_bound_report_golden(name):
         (cycle_graph(6), None),  # bipartite, but m = 6 != 3 * 3
         (path_graph(4), None),
         (complete_graph(3), None),  # an edge joins two vertices of equal parity
-        (paw_graph(), None),  # the same, although m = 4 = 2 * 2
+        (PAW, None),  # the same, although m = 4 = 2 * 2
         (two_disjoint_edges(), None),  # disconnected
         (Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)]), None),  # P5+K1
     ],

@@ -278,7 +278,7 @@ class TestIndependence:
 
 def _solver_mask_attributes(source: str) -> list[str]:
     """Attributes of the solver's edge masks that ``source`` reads."""
-    solver_masks = {"closed_edge_masks", "edge_neighbor_mask", "full_edge_mask", "_twin_swaps"}
+    solver_masks = {"closed_edge_masks", "full_edge_mask", "_twin_swaps"}
     return [
         node.attr
         for node in ast.walk(ast.parse(source))
