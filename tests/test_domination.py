@@ -77,6 +77,13 @@ class TestIsEdgeDominatingSet:
         with pytest.raises(GraphMismatch):
             is_edge_dominating_set(path_graph(3), {5})
 
+    @pytest.mark.parametrize("e", [2, -1, True, "a", 1.0, None])
+    def test_index_out_of_range(self, e):
+        # Only a plain int in 0..m-1 names an edge: -1 would read the last
+        # edge's mask, and True and 1.0 would pass for edge 1.
+        with pytest.raises(GraphMismatch, match="does not exist"):
+            check_edge_set(path_graph(3), [e])
+
     def test_bool_indices_are_a_graph_mismatch(self):
         with pytest.raises(GraphMismatch):
             check_edge_set(path_graph(3), [True])

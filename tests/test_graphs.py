@@ -274,6 +274,23 @@ class TestEdgeNeighborhood:
                 assert hoods[e] >> f & 1 == hoods[f] >> e & 1
 
 
+def _full_edges(g: Graph) -> list[int]:
+    """Edges whose closed neighbourhood is every edge, as the solver reads them."""
+    return [e for e, mask in enumerate(g.closed_edge_masks()) if mask == g.full_edge_mask]
+
+
+class TestFullEdges:
+    def test_star_edges_full(self):
+        g = star_graph(5)
+        assert _full_edges(g) == list(range(g.m))
+
+    def test_p5_middle_edge_not_full(self):
+        assert 1 not in _full_edges(path_graph(5))
+
+    def test_p3_both_edges_full(self):
+        assert _full_edges(path_graph(3)) == [0, 1]
+
+
 class TestLineGraph:
     def test_line_of_path(self):
         assert are_isomorphic(line_graph(path_graph(4)), path_graph(3))
