@@ -64,7 +64,7 @@ class NotUnicyclic(EclabError, ValueError):
 
 
 class InvalidSpec(EclabError, ValueError):
-    """A textual input is malformed: a family or corpus spec, or edge-list text."""
+    """A family or corpus spec, or edge-list text, is malformed or not of its type."""
 
 
 class TooManyEdges(EclabError, ValueError):

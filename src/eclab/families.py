@@ -112,6 +112,8 @@ class FamilySpec:
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
         """Parse a CLI spec string such as ``"dstar:3,2"``."""
+        if not isinstance(text, str):
+            raise InvalidSpec(f"FamilySpec.parse expects a spec string, got {text!r}")
         name, sep, rest = text.partition(":")
         kind = next((k for k, row in _KINDS.items() if name.lower() in (k, row.short)), None)
         if not sep or kind is None:
@@ -130,6 +132,8 @@ def generate(spec: FamilySpec) -> Graph:
     """Build the canonical member of a family, in the vertex layout of
     ``_KINDS``.  Sorting the ``(min, max)`` pairs indexes the edges in
     lexicographic order."""
+    if not isinstance(spec, FamilySpec):
+        raise InvalidSpec(f"expected a FamilySpec, got {spec!r}; FamilySpec.parse reads a spec string")
     n, pairs = _KINDS[spec.kind].graph(*spec.params)
     return Graph(n, sorted(pairs))
 
@@ -197,6 +201,8 @@ SINGLETON_EC_SPOT_CHECKS: dict[str, Graph] = {
 def closed_form_ec(spec: FamilySpec) -> int | None:
     """Known exact coalition number for a family member, or None if no
     closed form is covered (e.g. complete graphs beyond order 5)."""
+    if not isinstance(spec, FamilySpec):
+        raise InvalidSpec(f"expected a FamilySpec, got {spec!r}; FamilySpec.parse reads a spec string")
     return _KINDS[spec.kind].closed_form_ec(*spec.params)
 
 

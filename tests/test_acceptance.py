@@ -20,8 +20,11 @@ hit, or any disagreement between oracle and solver, fails them.
   C5 and the net.
 """
 
+import dataclasses
+
 import pytest
 
+import eclab.families
 import eclab.theorems
 from eclab.coalition import ec_bounds, edge_coalition_number, singleton_partition
 from eclab.domination import gamma_prime_via_line_graph
@@ -106,6 +109,14 @@ def test_criterion_04_complete_graphs():
 
 def test_criterion_05_complete_bipartite():
     _run("complete-bipartite")
+
+
+def test_criterion_05_reads_the_closed_form_table(monkeypatch):
+    row = eclab.families._KINDS["complete_bipartite"]
+    off_by_one = dataclasses.replace(row, closed_form_ec=lambda r, s: 2 * s + 1)
+    monkeypatch.setitem(eclab.families._KINDS, "complete_bipartite", off_by_one)
+    result = next(run_all(("complete-bipartite",)))
+    assert (result.passed, result.detail) == (False, "kbip:2,2: solver 4 != closed form 5")
 
 
 def test_criterion_06_small_ec_classes():

@@ -109,6 +109,15 @@ class TestSpecsAndGenerators:
                 assert FamilySpec.parse(f"{name}:{params}") == spec
                 assert FamilySpec.parse(f"{name}:{params}").to_string() == text
 
+    @pytest.mark.parametrize(
+        "fn, bad",
+        [(fn, bad) for fn in (generate, closed_form_ec) for bad in ("path:4", None, 5)]
+        + [(FamilySpec.parse, bad) for bad in (FamilySpec("path", (4,)), None, 5)],
+    )
+    def test_family_functions_refuse_the_wrong_input_type(self, fn, bad):
+        with pytest.raises(InvalidSpec, match=re.escape("FamilySpec.parse")):
+            fn(bad)
+
     def test_path(self):
         g = path_graph(6)
         assert (g.n, g.m) == (6, 5)
