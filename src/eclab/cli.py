@@ -10,6 +10,10 @@ verification (or failed theorem checks), 2 usage error (bad input, an
 output), 3 budget exceeded, 141 (128 + SIGPIPE) when the reader of stdout
 hung up.  ``ECLAB_MAX_EDGES`` in the environment overrides the exact-mode
 edge cap.
+
+``main`` builds the subparser of the invoked verb only; without a verb
+name as the first argument it builds all eight, so the help and the
+usage errors read the same either way.
 """
 
 from __future__ import annotations
@@ -258,14 +262,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
     return EXIT_OK if passed == total else EXIT_NEGATIVE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eclab",
-        description="Exact edge coalition computations on small graphs.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("ec", help="compute the edge coalition number with a certificate")
+def _ec_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     _add_format_arg(p)
     p.add_argument("--max-edges", type=_cap, default=None, help="override the exact-mode cap")
@@ -277,49 +274,93 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=_seconds, help="seconds for --lower-bound (default 30)")
     p.set_defaults(func=_cmd_ec)
 
-    p = sub.add_parser("gamma", help="compute the edge domination number")
+
+def _gamma_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     _add_format_arg(p)
     p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("verify", help="verify a partition (JSON array of edge-index arrays)")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     _add_format_arg(p)
     _add_partition_args(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("ecg", help="build the coalition graph of an ec-partition")
+
+def _ecg_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     _add_format_arg(p, dot=True)
     _add_partition_args(p)
     p.set_defaults(func=_cmd_ecg)
 
-    p = sub.add_parser("bounds", help="report known bounds with applicability flags")
+
+def _bounds_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     _add_format_arg(p)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("generate", help="write a family graph as an edge list")
+
+def _generate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--output", help="file path (default: stdout)")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("corpus", help="export exhaustive small-graph corpora")
+
+def _corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", default="connected", help="comma list: all,connected,trees,unicyclic")
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_corpus)
 
-    p = sub.add_parser("theorems", help="run the reproduction suite")
+
+def _theorems_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--only", help="comma list of check tags to run")
     p.set_defaults(func=_cmd_theorems)
 
+
+# (name, help, set-up) of each verb, in the order the help lists them.
+_VERBS = (
+    ("ec", "compute the edge coalition number with a certificate", _ec_args),
+    ("gamma", "compute the edge domination number", _gamma_args),
+    ("verify", "verify a partition (JSON array of edge-index arrays)", _verify_args),
+    ("ecg", "build the coalition graph of an ec-partition", _ecg_args),
+    ("bounds", "report known bounds with applicability flags", _bounds_args),
+    ("generate", "write a family graph as an edge list", _generate_args),
+    ("corpus", "export exhaustive small-graph corpora", _corpus_args),
+    ("theorems", "run the reproduction suite", _theorems_args),
+)
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The ``eclab`` parser with every verb, or with ``verb``'s subparser only.
+
+    A parser narrowed to one verb still names all of them in its usage
+    line, so its top-level errors read as the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="eclab",
+        description="Exact edge coalition computations on small graphs.",
+    )
+    names = [name for name, _, _ in _VERBS]
+    if verb is not None and verb not in names:
+        raise ValueError(f"unknown verb {verb!r}")
+    # Set only when narrowed: with a metavar, a missing verb would be
+    # reported as the list of names instead of "verb".
+    metavar = None if verb is None else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name, help_text, add_args in _VERBS:
+        if verb in (None, name):
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Build only the named verb's subparser; anything else gets the full parser.
+    verb = argv[0] if argv and argv[0] in [name for name, _, _ in _VERBS] else None
+    args = build_parser(verb).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

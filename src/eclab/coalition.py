@@ -37,7 +37,7 @@ from .errors import (
     InvalidPartition,
     NotAnEcPartition,
 )
-from .graphs import Graph, _bfs_distances, _is_index, are_isomorphic
+from .graphs import _NOT_COLLECTIONS, Graph, _bfs_distances, _is_index, are_isomorphic
 
 DEFAULT_EXACT_EDGE_CAP = 16
 
@@ -120,11 +120,21 @@ def validate_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> Blocks:
     """Normalize blocks and check they partition the edge set of ``g``."""
     if g.m == 0:
         raise InvalidPartition("a graph with no edges has no edge partitions")
+    if isinstance(blocks, _NOT_COLLECTIONS):
+        raise InvalidPartition(
+            f"a partition must be a collection of blocks, got a {type(blocks).__name__}"
+        )
+    given = []
     try:
         # Building a set keeps only one of 0 and False, or of 1 and True, so
         # a block that is not a set yet is index-checked member by member as
         # given.  A frozenset block stays the same object.
-        given = [b if isinstance(b, (set, frozenset)) else list(b) for b in blocks]
+        for i, b in enumerate(blocks):
+            if isinstance(b, _NOT_COLLECTIONS):
+                raise InvalidPartition(
+                    f"block {i} must be a collection of edge indices, got a {type(b).__name__}"
+                )
+            given.append(b if isinstance(b, (set, frozenset)) else list(b))
         normalized = tuple(frozenset(b) for b in given)
     except TypeError as exc:
         raise InvalidPartition(f"blocks must be sets of edge indices: {exc}") from exc

@@ -14,11 +14,15 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GraphMismatch
-from .graphs import Graph, _is_index, line_graph
+from .graphs import _NOT_COLLECTIONS, Graph, _is_index, line_graph
 
 
 def check_edge_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
     """Normalize an edge-index collection, raising GraphMismatch on bad indices."""
+    if isinstance(members, _NOT_COLLECTIONS):
+        raise GraphMismatch(
+            f"an edge set must be a collection of edge indices, got a {type(members).__name__}"
+        )
     try:
         # A set keeps one of 0 and False, so members are checked as given.
         given = members if isinstance(members, (set, frozenset)) else list(members)

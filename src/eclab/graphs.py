@@ -37,6 +37,11 @@ def _is_index(x: object, size: float) -> bool:
     return isinstance(x, int) and type(x) is not bool and 0 <= x < size
 
 
+# Iterables that read as something other than a collection of their members:
+# a str as its letters, bytes as byte values, a dict as its keys.
+_NOT_COLLECTIONS = (str, bytes, bytearray, dict)
+
+
 class Graph:
     """Immutable undirected simple graph.
 

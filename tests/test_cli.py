@@ -1,5 +1,6 @@
 """Tests for the command-line interface: verbs, formats, exit codes."""
 
+import argparse
 import ast
 import json
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import eclab
+from eclab import cli
 from eclab.cli import main
 from eclab.graphs import parse_edge_list
 
@@ -251,6 +253,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "edge indices" in err
 
+    @pytest.mark.parametrize(
+        "partition, kind",
+        [("{}", "dict"), ('"012"', "str"), ('[[0, 1], "2"]', "str")],
+        ids=["dict", "str", "str-block"],
+    )
+    def test_partition_of_wrong_type_is_usage_error(self, capsys, partition, kind):
+        # Read as keys or letters, these said "not covered" or named edge '0'.
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "path:4", "--partition", partition
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.endswith(f"got a {kind}\n")
+
     def test_bad_json_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--family", "path:6", "--partition", "nope")
         assert code == 2
@@ -342,7 +357,7 @@ class TestInputBoundary:
             (["verify", "--family", "kbip:2,4"], "--partition --partition-id is required"),
             (["verify", "--family", "kbip:2,4", "--partition-id", ""], "unknown partition id ''"),
             (["ecg", "--family", "path:6", "--partition", "5"], "edge indices"),
-            (["ecg", "--family", "path:6", "--partition", '{"a": [0]}'], "nonexistent edge 'a'"),
+            (["ecg", "--family", "path:6", "--partition", '{"a": [0]}'], "got a dict"),
             (["verify", "--family", "path:3", "--partition", "[[" + "9" * 5000 + "]]"], "not valid JSON"),
             (["verify", "--family", "path:3", "--partition", "[" * 100_000], "not valid JSON"),
             (["ec", "--graph", "{tmp}/missing.el"], "{tmp}/missing.el"),
@@ -517,6 +532,80 @@ THEOREMS_STDOUT = [
     "PASS  gamma-prime-identity         269 graphs plus K_n/K_r,r cases agree",
     "12/14 checks passed",
 ]
+
+
+_VERB_NAMES = ["ec", "gamma", "verify", "ecg", "bounds", "generate", "corpus", "theorems"]
+
+
+def _outcome(capsys, argv):
+    """Exit status, stdout and stderr of ``main(argv)``, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestVerbParser:
+    """``main`` builds only the named verb's subparser, and no output shows it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["-h"], ["--help"], ["bogus"], ["e"], ["-h", "ec"]]
+        + [[verb] for verb in _VERB_NAMES]
+        + [[verb, "-h"] for verb in _VERB_NAMES]
+        + [
+            ["ec", "--family", "path:5", "extra"],
+            ["ec", "--family", "path:5", "--graph", "x"],
+            ["ec", "--fam", "path:4"],
+            ["ec", "--jobs", "2"],
+            ["ec", "--format", "dot"],
+            ["ec", "--max-edges", "-1"],
+            ["ec", "--lower-bound", "--time-budget", "nan"],
+            ["theorems", "--only"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-args",
+    )
+    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, argv):
+        # Compared with this interpreter's argparse, not with literal help
+        # text, whose wording differs across Python versions.
+        narrowed = _outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+        assert _outcome(capsys, argv) == narrowed
+
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [
+            (["ec", "--family", "path:4"], 2),
+            (["theorems", "--only", "paths-closed-form"], 2),
+            (["--help"], 9),
+        ],
+        ids=["ec", "theorems", "help"],
+    )
+    def test_argument_parsers_built(self, capsys, monkeypatch, argv, parsers):
+        # The top-level parser and the verb's, or all nine for the full help.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert _outcome(capsys, argv)[0] == 0
+        assert len(built) == parsers
+
+    def test_missing_verb_is_reported_as_verb(self, capsys):
+        # Only a narrowed parser lists every verb name as the metavar.
+        code, out, err = _outcome(capsys, [])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: verb\n")
+
+    def test_unknown_verb_is_refused(self):
+        with pytest.raises(ValueError, match="unknown verb 'e'"):
+            cli.build_parser("e")
 
 
 def test_only_the_cli_writes_to_stdout():

@@ -192,6 +192,48 @@ class TestIsEcPartition:
         with pytest.raises(InvalidPartition, match="unhashable"):
             validate_partition(path_graph(3), [[[0]], [1]])
 
+    @pytest.mark.parametrize(
+        "blocks, kind",
+        [
+            ({frozenset({0}): 1, frozenset({1}): 2, frozenset({2}): 3}, "dict"),  # its keys
+            ("012", "str"),
+            (b"\x00\x01\x02", "bytes"),
+        ],
+        ids=["dict", "str", "bytes"],
+    )
+    def test_partition_of_wrong_type_rejected(self, blocks, kind):
+        # Each iterates as something else than its blocks.
+        with pytest.raises(InvalidPartition, match=f"partition must be .*, got a {kind}$"):
+            validate_partition(path_graph(4), blocks)
+
+    @pytest.mark.parametrize(
+        "blocks, i, kind",
+        [
+            ([b"\x00", b"\x01", b"\x02"], 0, "bytes"),  # its byte values
+            ([[0], [1], "2"], 2, "str"),
+            ([[0, 1], {2: "x"}], 1, "dict"),
+        ],
+        ids=["bytes", "str", "dict"],
+    )
+    def test_block_of_wrong_type_rejected(self, blocks, i, kind):
+        with pytest.raises(InvalidPartition, match=f"block {i} must be .*, got a {kind}$"):
+            validate_partition(path_graph(4), blocks)
+        with pytest.raises(InvalidPartition):
+            is_ec_partition(path_graph(4), blocks)
+
+    @pytest.mark.parametrize(
+        "blocks, want",
+        [
+            ([{0}, frozenset({1}), [2]], [[0], [1], [2]]),
+            (((0,), (1, 2)), [[0], [1, 2]]),
+            (((e,) for e in range(3)), [[0], [1], [2]]),
+            ([range(3)], [[0, 1, 2]]),
+        ],
+        ids=["sets-and-list", "tuples", "generator", "range"],
+    )
+    def test_collections_of_collections_accepted(self, blocks, want):
+        assert [sorted(b) for b in validate_partition(path_graph(4), blocks)] == want
+
     def test_edgeless_graph_has_no_partition(self):
         with pytest.raises(InvalidPartition, match="no edges"):
             validate_partition(Graph(3), [])

@@ -123,6 +123,16 @@ class TestIsEdgeDominatingSet:
         with pytest.raises(GraphMismatch):
             call(path_graph(4))
 
+    @pytest.mark.parametrize(
+        "members, kind",
+        [(b"\x00\x01", "bytes"), ({0: "a"}, "dict"), ("01", "str")],
+        ids=["bytes", "dict", "str"],
+    )
+    def test_edge_set_of_wrong_type_is_a_graph_mismatch(self, members, kind):
+        # Read as byte values, keys or letters, the first two passed as {0, 1} and {0}.
+        with pytest.raises(GraphMismatch, match=f"got a {kind}$"):
+            check_edge_set(path_graph(4), members)
+
     @settings(max_examples=60)
     @given(small_graphs(min_m=1), st.data())
     def test_monotone_under_superset(self, g, data):
