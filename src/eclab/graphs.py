@@ -62,11 +62,17 @@ class Graph:
         # slot holding the shared empty tuple, so a header that declares
         # millions of vertices stays small.
         adj: defaultdict[int, list[int]] = defaultdict(list)
+        if isinstance(edges, _NOT_COLLECTIONS):
+            kind = type(edges).__name__
+            raise OutOfRangeVertex(f"edges must be an iterable of pairs, got type {kind}")
         try:
             edges = iter(edges)
         except TypeError:
             raise OutOfRangeVertex(f"edges must be an iterable of pairs, got {edges!r}") from None
         for edge in edges:
+            if isinstance(edge, _NOT_COLLECTIONS):
+                kind = type(edge).__name__
+                raise OutOfRangeVertex(f"edge {edge!r} has type {kind}, not a pair of vertices")
             try:
                 u, v = edge
             except (TypeError, ValueError):  # not unpackable, or not two items
@@ -172,12 +178,25 @@ def longest_path_length(g: Graph) -> int:
     largest component, i.e. at the first Hamiltonian path found there.  On
     complete and balanced complete bipartite graphs the first DFS branch
     is one.  A graph without such a path (K5,7, any tree but a path) is
-    searched exhaustively, in time exponential in n.
+    searched exhaustively, in time exponential in n.  The component orders
+    come from one breadth-first search per component, started at each
+    vertex no earlier search reached: a single search on a connected graph.
     """
-    orders = (sum(d >= 0 for d in _bfs_distances(g, v)) for v in range(g.n))
-    ceiling = max(orders, default=1) - 1
-    best = 0
     adj = g._adj
+    reached = [False] * g.n
+    largest = 1
+    for start in range(g.n):
+        if not reached[start]:
+            reached[start] = True
+            component = [start]
+            for v in component:  # grows while it is read: breadth-first
+                for u in adj[v]:
+                    if not reached[u]:
+                        reached[u] = True
+                        component.append(u)
+            largest = max(largest, len(component))
+    ceiling = largest - 1
+    best = 0
 
     def dfs(v: int, visited: int, length: int) -> bool:
         """Extend the path ending at ``v``; True once ``best`` hits the ceiling."""
@@ -254,25 +273,37 @@ def _canonical_form(
     Colour refinement plus individualisation (McKay & Piperno, *Practical
     graph isomorphism II*, 2014):
 
-    * Refinement recolours every vertex by the rank of its signature
+    * Colours are always ranks: k colour classes hold the colours 0..k-1.
+      Refinement recolours every vertex by the rank of its signature
       ``colour << top`` plus ``1 << shift * c`` for each neighbour of colour
-      c, with ``shift = n.bit_length()`` and ``top = 2 * shift * n``, until
-      the colour count stops growing.  Colours stay below 2n (ranks are
-      below n, and individualising maps colour c to 2c or 2c + 1), so the
+      c, with ``shift = n.bit_length()`` and ``top = shift * n``, until the
+      colour count stops growing or reaches n.  Colours are below n, so the
       field of colour c, bits shift*c up to shift*(c+1), lies below bit
       top; a vertex has at most n - 1 < 2**shift neighbours of one colour,
       so no field carries into the next.  The signature is therefore the
       own colour above the neighbour-colour counts written as digits in
       base 2**shift, and two signatures are equal iff the own colours and
       the multisets of neighbour colours are: the encoding is injective.
-      Ranks order the signatures as ints, an order computed from colours
-      alone, so they depend on colours only, never on vertex labels.  The
-      form's correctness rests on that alone; injectivity makes each round
-      the full colour refinement, which keeps the search tree small.
+      Ranks order the signatures as ints: by own colour, then by the
+      neighbour counts from the highest colour down.  That order is
+      computed from colours alone, so ranks depend on colours only, never
+      on vertex labels, and only on the colours' order, not their values.
+      The form's correctness rests on that alone; injectivity makes each
+      round the full colour refinement, which keeps the search tree small.
+    * Two rounds are never run, as neither could change a rank.  The round
+      from the all-zero colouring gives every vertex its degree's rank, so
+      the search starts from the degree ranks, already stable when they
+      form one class (a regular graph).  A round on n classes returns its
+      input, own colour being the top field, so refinement stops there.
     * While some colour class (cell) has several vertices, take the
-      smallest such cell of lowest colour (again a choice on colours only),
-      give each of its vertices in turn a colour just below the rest of
-      the cell, and refine again.
+      smallest such cell of lowest colour c0 (again a choice on colours
+      only) and individualise each of its vertices in turn: it keeps c0,
+      the rest of the cell moves to c0 + 1 and every colour above c0 up by
+      one, and refinement goes on from there.  That gives the vertex a
+      colour just below the rest of its cell, and the result is again a
+      rank colouring, of k + 1 classes.  Any other colours in the same
+      order would refine to the same ranks, so no leaf depends on this
+      numbering; a child of n classes is a leaf as it stands.
     * Once every cell is one vertex, the colours number the vertices
       0..n-1 and the leaf is the relabelled adjacency matrix read as an
       int: bits n*c(u) + c(v) and n*c(v) + c(u) for each edge uv.  Each bit
@@ -312,29 +343,27 @@ def _canonical_form(
         nbrs[u] |= 1 << v
         nbrs[v] |= 1 << u
     shift = n.bit_length()
-    top = 2 * shift * n
-    weight = [1 << shift * c for c in range(2 * n)]  # one neighbour of colour c
+    top = shift * n
+    weight = [1 << shift * c for c in range(n)]  # one neighbour of colour c
     best = -1
     best_inv: list[int] = []  # best_inv[c]: the vertex the least leaf numbers c
     automorphisms: set[tuple[int, ...]] = set()
 
-    def search(colors: list[int]) -> None:
+    def search(colors: list[int], k: int) -> None:
         nonlocal best, best_inv
-        while True:  # refine to a stable colouring
+        # Refine to a stable or a discrete colouring.  k is 1 only at the
+        # root of a regular graph, whose degree colouring is stable.
+        while 1 < k < n:
             sigs = [c << top for c in colors]
             for u, v in edges:
                 sigs[u] += weight[colors[v]]
                 sigs[v] += weight[colors[u]]
             rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-            stable = len(rank) == len(set(colors))
             colors = [rank[sig] for sig in sigs]
-            if stable:
+            if len(rank) == k:
                 break
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        open_cells = [cell for cell in cells.values() if len(cell) > 1]
-        if not open_cells:
+            k = len(rank)
+        if k == n:  # discrete: the ranks number the vertices
             leaf = 0
             for u, v in edges:
                 a, b = colors[u], colors[v]
@@ -347,7 +376,15 @@ def _canonical_form(
             elif leaf == best:
                 automorphisms.add(tuple(best_inv[c] for c in colors))
             return
-        cell = min(open_cells, key=lambda c: (len(c), colors[c[0]]))
+        cells: list[list[int]] = [[] for _ in range(k)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        # The smallest open cell of lowest colour: min keeps the first.
+        c0 = min((c for c in range(k) if len(cells[c]) > 1), key=lambda c: len(cells[c]))
+        cell = cells[c0]
+        # The cell moves up to c0 + 1 and every colour above it up by one;
+        # each child puts its vertex back at c0.
+        shifted = [c + (c >= c0) for c in colors]
         # The open and the closed neighbourhood mask of each vertex branched
         # on, to that vertex; an open mask never equals a closed one: v is
         # not in N(v).
@@ -356,13 +393,18 @@ def _canonical_form(
             u = tried.get(nbrs[v], tried.get(nbrs[v] | 1 << v))
             if u is None:
                 tried[nbrs[v]] = tried[nbrs[v] | 1 << v] = v
-                search([2 * c + (w != v) for w, c in enumerate(colors)])
+                child = shifted.copy()
+                child[v] = c0
+                search(child, k + 1)
             else:
                 swap = list(range(n))
                 swap[u], swap[v] = v, u
                 automorphisms.add(tuple(swap))
 
-    search([0] * n)
+    # One round from the all-zero colouring ranks the degrees.
+    degrees = [mask.bit_count() for mask in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    search([rank[d] for d in degrees], len(rank))
     return (n, best), automorphisms
 
 

@@ -281,7 +281,7 @@ def _augmentations(
         # Bit images under each automorphism the canonical search met; they
         # generate the parent's whole group, so a set is seen iff it lies in
         # the orbit of a set already yielded.
-        images = [[1 << p[v] for v in range(n - 1)] for p in automorphisms]
+        images = [{1 << v: 1 << p[v] for v in range(n - 1)} for p in automorphisms]
         seen: set[int] = set()
         for mask in masks:
             if mask in seen:
@@ -289,8 +289,13 @@ def _augmentations(
             seen.add(mask)
             orbit = [mask]
             for x in orbit:  # breadth-first closure under the generators
-                for bits in images:
-                    y = sum(bit for v, bit in enumerate(bits) if x >> v & 1)
+                for image in images:
+                    y = 0
+                    rest = x
+                    while rest:  # one step per set bit, lowest first
+                        low = rest & -rest
+                        y |= image[low]
+                        rest ^= low
                     if y not in seen:
                         seen.add(y)
                         orbit.append(y)

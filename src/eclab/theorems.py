@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .coalition import (
     EcResult,
@@ -52,7 +52,7 @@ from .families import (
     theta_recognizer,
     two_disjoint_edges,
 )
-from .graphs import Graph, _is_connected, are_isomorphic
+from .graphs import _NOT_COLLECTIONS, Graph, _is_connected, are_isomorphic
 from .oracle import CorpusSpec, brute_force_ec, enumerate_corpus
 
 
@@ -386,17 +386,26 @@ CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def run_all(tags: Sequence[str] | None = None) -> Iterator[CheckResult]:
+def run_all(tags: Iterable[str] | None = None) -> Iterator[CheckResult]:
     """Yield each result of the suite, or of the checks in ``tags``, in
-    ``CHECKS`` order as its check finishes.  A bare str, unknown tags and
-    repeated tags raise :class:`EclabError` before any check runs.  ``CHECKS``
-    is read at call time, so a caller such as the benchmark tracer may replace it.
+    ``CHECKS`` order as its check finishes.  ``tags`` is any iterable of tag
+    strs, a generator or a set included, and is read once.  A str, bytes,
+    bytearray or dict (read as letters, byte values or keys), a
+    non-iterable, unknown tags and repeated tags raise :class:`EclabError`
+    before any check runs.  ``CHECKS`` is read at call time, so a caller
+    such as the benchmark tracer may replace it.
     """
     checks = CHECKS
     if tags is not None:
-        if isinstance(tags, str):  # would be read as its letters
-            raise EclabError(f"check tags must be a sequence of str, got the str {tags!r}")
-        known = {tag for tag, _ in checks}
+        try:
+            if isinstance(tags, _NOT_COLLECTIONS):  # read as letters, byte values or keys
+                raise TypeError
+            items = iter(tags)
+        except TypeError:
+            kind = type(tags).__name__
+            raise EclabError(f"check tags must be an iterable of str, got the {kind} {tags!r}") from None
+        tags = tuple(items)  # read once: a generator would be spent by the scan below
+        known = tuple(tag for tag, _ in checks)
         unknown = [t for t in tags if t not in known]
         if unknown:
             raise EclabError(f"unknown check tags: {', '.join(map(repr, unknown))}")

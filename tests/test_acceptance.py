@@ -300,7 +300,42 @@ def test_unknown_tags_raise_before_any_check_runs(monkeypatch):
         run_all(["nonsense", "paths-closed-form", "bad"])
     with pytest.raises(EclabError, match="unknown check tags: 'nonsense'$"):
         run_all(("nonsense",))
+    with pytest.raises(EclabError, match=r"unknown check tags: \['nonsense'\]$"):
+        run_all([["nonsense"]])  # unhashable, so no set lookup can find it
     assert ran == []
+
+
+@pytest.mark.parametrize(
+    "tags, kind",
+    [
+        ({"paths-closed-form": 0}, "dict"),
+        (b"ab", "bytes"),
+        (bytearray(b"ab"), "bytearray"),
+        (5, "int"),
+    ],
+)
+def test_tags_read_as_keys_or_byte_values_or_not_iterable_raise(monkeypatch, tags, kind):
+    # Unchecked, the dict raised a bare AttributeError, the bytes reported
+    # "unknown check tags: 97, 98" and the int a bare TypeError.
+    ran = _spy_checks(monkeypatch)
+    with pytest.raises(EclabError, match=f"must be an iterable of str, got the {kind} "):
+        run_all(tags)
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "tags",
+    [
+        (t for t in ["gamma-prime-identity", "paths-closed-form"]),
+        {"gamma-prime-identity", "paths-closed-form"},
+    ],
+    ids=["generator", "set"],
+)
+def test_a_generator_or_a_set_of_tags_runs_its_checks(monkeypatch, tags):
+    # A generator used to be spent by the unknown-tag scan, so no check ran.
+    ran = _spy_checks(monkeypatch)
+    assert [r.tag for r in run_all(tags)] == ["paths-closed-form", "gamma-prime-identity"]
+    assert ran == ["paths-closed-form", "gamma-prime-identity"]
 
 
 def test_a_bare_str_or_a_repeated_tag_raises_before_any_check_runs(monkeypatch):

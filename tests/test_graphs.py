@@ -30,6 +30,7 @@ from eclab.families import (
 )
 from eclab.graphs import (
     Graph,
+    _canonical_form,
     are_isomorphic,
     format_edge_list,
     graph_metrics,
@@ -184,6 +185,39 @@ class TestConstruction:
         # Unchecked, each raises a bare TypeError or ValueError from the unpacking.
         with pytest.raises(OutOfRangeVertex, match=re.escape(message)):
             Graph(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ({(0, 1): "x", (1, 2): "y"}, "edges must be an iterable of pairs, got type dict"),
+            (b"\x00\x01", "edges must be an iterable of pairs, got type bytes"),
+            (bytearray(b"\x00\x01"), "edges must be an iterable of pairs, got type bytearray"),
+            ([{0: "x", 1: "y"}], "edge {0: 'x', 1: 'y'} has type dict"),
+            ([b"\x00\x01"], "edge b'\\x00\\x01' has type bytes"),
+            ([bytearray(b"\x00\x01")], "edge bytearray(b'\\x00\\x01') has type bytearray"),
+        ],
+        ids=["dict-list", "bytes-list", "bytearray-list", "dict-edge", "bytes-edge", "bytearray-edge"],
+    )
+    def test_edge_list_or_edge_read_as_keys_or_byte_values_refused(self, edges, message):
+        # Unchecked, the dict builds P3 from its keys and each bytes edge
+        # the edge (0, 1) from its byte values.
+        with pytest.raises(OutOfRangeVertex, match=re.escape(message)):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 2)],
+            ((0, 1), (1, 2)),
+            [[0, 1], [1, 2]],
+            ((u, u + 1) for u in range(2)),
+            [tuple(range(u, u + 2)) for u in range(2)],
+            [range(u, u + 2) for u in range(2)],
+        ],
+        ids=["list", "tuple", "list-of-lists", "generator", "range-tuples", "ranges"],
+    )
+    def test_edge_collections_of_pairs_accepted(self, edges):
+        assert Graph(3, edges).edges == ((0, 1), (1, 2))
 
     @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
     def test_vertex_count_that_is_not_a_nonnegative_int_refused(self, n):
@@ -371,6 +405,12 @@ class TestLongestPath:
             (Graph(6, [(0, 1), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]), 3),
             (Graph(0), 0),
             (Graph(3), 0),
+            # P4 + K3: one BFS per component finds the ceiling 3 of P4.
+            (Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)]), 3),
+            # K1 + C5 + P2: the isolated vertex comes first.
+            (Graph(8, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (6, 7)]), 4),
+            # K4 + a trailing isolated vertex.
+            (Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), 3),
         ],
     )
     def test_values(self, g, expected):
@@ -441,6 +481,14 @@ class TestIsomorphism:
             for j, g2 in enumerate(graphs):
                 h = _relabeled(g2, 100 * i + j)
                 assert are_isomorphic(g1, h) is _brute_isomorphic(g1, h) is (i == j), (i, j)
+
+    def test_empty_and_one_vertex_graphs(self):
+        # The empty graph's degree colouring has no class at all, so it must
+        # be a leaf as it stands, not a cell to branch on.
+        assert are_isomorphic(Graph(0), Graph(0))
+        assert are_isomorphic(Graph(1), Graph(1))
+        assert not are_isomorphic(Graph(0), Graph(1))
+        assert _canonical_form(0, ()) == ((0, 0), set())
 
     def test_size_cap(self):
         big = complete_graph(13)

@@ -385,6 +385,19 @@ class TestOrbitPruning:
         listing = repr([(g.n, g.edges) for g in graphs_of_order(cls, n)])
         assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
+    def test_canonical_forms_and_automorphisms_pinned(self):
+        # Every form value and every recorded automorphism of the 208 graphs
+        # with at most 6 vertices, as the canonical search gave them before
+        # its rounds were cut; a change that moves either re-pins this.
+        forms = []
+        for n in range(1, 7):
+            for g in graphs_of_order("all", n):
+                form, automorphisms = eclab.graphs._canonical_form(g.n, g.edges)
+                forms.append((form, sorted(automorphisms)))
+        assert len(forms) == 208
+        digest = hashlib.sha256(repr(forms).encode()).hexdigest()
+        assert digest == "b65da4cbf3ccb7a0eb031ad89b05de7f279b4aa406f62b8d65c0f9d7280678f7"
+
 
 def _all_sequences(length: int, n: int):
     if length == 0:
