@@ -37,7 +37,7 @@ from .errors import (
     InvalidPartition,
     NotAnEcPartition,
 )
-from .graphs import _NOT_COLLECTIONS, Graph, _bfs_distances, _is_index, are_isomorphic
+from .graphs import Graph, _bfs_distances, _is_index, _members, are_isomorphic
 
 DEFAULT_EXACT_EDGE_CAP = 16
 
@@ -117,43 +117,27 @@ class EcResult:
 
 
 def validate_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> Blocks:
-    """Normalize blocks and check they partition the edge set of ``g``."""
+    """Normalize blocks, each read by :func:`check_edge_set` (a frozenset
+    block stays the same object), and check they partition the edges of ``g``."""
     if g.m == 0:
         raise InvalidPartition("a graph with no edges has no edge partitions")
-    if isinstance(blocks, _NOT_COLLECTIONS):
-        raise InvalidPartition(
-            f"a partition must be a collection of blocks, got a {type(blocks).__name__}"
-        )
-    given = []
-    try:
-        # Building a set keeps only one of 0 and False, or of 1 and True, so
-        # a block that is not a set yet is index-checked member by member as
-        # given.  A frozenset block stays the same object.
-        for i, b in enumerate(blocks):
-            if isinstance(b, _NOT_COLLECTIONS):
-                raise InvalidPartition(
-                    f"block {i} must be a collection of edge indices, got a {type(b).__name__}"
-                )
-            given.append(b if isinstance(b, (set, frozenset)) else list(b))
-        normalized = tuple(frozenset(b) for b in given)
-    except TypeError as exc:
-        raise InvalidPartition(f"blocks must be sets of edge indices: {exc}") from exc
+    normalized = []
     seen = 0
-    for i, block in enumerate(normalized):
+    members = _members(blocks, "a partition must be a collection of blocks", InvalidPartition)
+    for i, b in enumerate(members):
+        block = check_edge_set(g, b, i)
         if not block:
             raise InvalidPartition(f"block {i} is empty")
-        for e in given[i]:
-            if not _is_index(e, g.m):
-                raise InvalidPartition(f"block {i} references nonexistent edge {e!r}")
         for e in block:
             bit = 1 << e
             if seen & bit:
                 raise InvalidPartition(f"edge {e} appears in more than one block")
             seen |= bit
+        normalized.append(block)
     if seen != g.full_edge_mask:
         missing = [e for e in range(g.m) if not seen >> e & 1]
         raise InvalidPartition(f"edges {missing} are not covered by any block")
-    return normalized
+    return tuple(normalized)
 
 
 def singleton_partition(g: Graph) -> Blocks:

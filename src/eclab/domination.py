@@ -13,26 +13,43 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import GraphMismatch
+from .errors import EclabError, GraphMismatch, InvalidPartition
 from .graphs import _NOT_COLLECTIONS, Graph, _is_index, line_graph
 
 
-def check_edge_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
-    """Normalize an edge-index collection, raising GraphMismatch on bad indices."""
-    if isinstance(members, _NOT_COLLECTIONS):
-        raise GraphMismatch(
-            f"an edge set must be a collection of edge indices, got a {type(members).__name__}"
-        )
+def check_edge_set(g: Graph, members: Iterable[int], block: int | None = None) -> frozenset[int]:
+    """The edge indices ``members`` as a frozenset, the very object when it is
+    one.  A str, bytes, bytearray or dict, a non-iterable, an unhashable or a
+    non-index member raises GraphMismatch on "an edge set", or
+    InvalidPartition on "block {block}"; every solver labeling's blocks are
+    read here, so a message is built only on failure."""
+    # A set keeps only one of 0 and False, so members are checked as given.
+    given = members
+    if not isinstance(members, (set, frozenset)):
+        if isinstance(members, _NOT_COLLECTIONS):
+            raise _refused(block, f"{_RULE}, got a {type(members).__name__}")
+        try:
+            given = list(members)
+        except TypeError:
+            raise _refused(block, f"{_RULE}, got {members!r}") from None
     try:
-        # A set keeps one of 0 and False, so members are checked as given.
-        given = members if isinstance(members, (set, frozenset)) else list(members)
         s = frozenset(given)
     except TypeError as exc:
-        raise GraphMismatch(f"an edge set must be a collection of edge indices: {exc}") from exc
+        raise _refused(block, f"{_RULE}: {exc}") from exc
+    m = g.m
     for e in given:
-        if not _is_index(e, g.m):
-            raise GraphMismatch(f"edge index {e!r} does not exist in a graph with m={g.m}")
+        if not _is_index(e, m):
+            raise _refused(block, f"references nonexistent edge {e!r}")
     return s
+
+
+_RULE = "must be a collection of edge indices"
+
+
+def _refused(block: int | None, problem: str) -> EclabError:
+    if block is None:
+        return GraphMismatch(f"an edge set {problem}")
+    return InvalidPartition(f"block {block} {problem}")
 
 
 def _cover_mask(closed: Sequence[int], members: Iterable[int]) -> int:

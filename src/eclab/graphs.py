@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -42,6 +42,18 @@ def _is_index(x: object, size: float) -> bool:
 _NOT_COLLECTIONS = (str, bytes, bytearray, dict)
 
 
+def _members(value: object, what: str, error: type[Exception]) -> Iterator:
+    """An iterator over ``value``.  A str, bytes, bytearray or dict raises
+    ``error`` naming its type and a non-iterable naming its repr, each after
+    ``what``, the rule, such as "edges must be an iterable of pairs"."""
+    if isinstance(value, _NOT_COLLECTIONS):
+        raise error(f"{what}, got a {type(value).__name__}")
+    try:
+        return iter(value)
+    except TypeError:
+        raise error(f"{what}, got {value!r}") from None
+
+
 class Graph:
     """Immutable undirected simple graph.
 
@@ -62,14 +74,7 @@ class Graph:
         # slot holding the shared empty tuple, so a header that declares
         # millions of vertices stays small.
         adj: defaultdict[int, list[int]] = defaultdict(list)
-        if isinstance(edges, _NOT_COLLECTIONS):
-            kind = type(edges).__name__
-            raise OutOfRangeVertex(f"edges must be an iterable of pairs, got type {kind}")
-        try:
-            edges = iter(edges)
-        except TypeError:
-            raise OutOfRangeVertex(f"edges must be an iterable of pairs, got {edges!r}") from None
-        for edge in edges:
+        for edge in _members(edges, "edges must be an iterable of pairs", OutOfRangeVertex):
             if isinstance(edge, _NOT_COLLECTIONS):
                 kind = type(edge).__name__
                 raise OutOfRangeVertex(f"edge {edge!r} has type {kind}, not a pair of vertices")
@@ -87,9 +92,12 @@ class Graph:
             pairs[pair] = None
             adj[u].append(v)
             adj[v].append(u)
+        try:
+            rows: list[tuple[int, ...]] = [()] * n
+        except (OverflowError, MemoryError):
+            raise OutOfRangeVertex(f"vertex count {n} is too large to store") from None
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
-        rows: list[tuple[int, ...]] = [()] * n
         for v, row in adj.items():
             row.sort()
             rows[v] = tuple(row)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InvalidSpec, TooManyEdges
-from .graphs import Graph, _canonical_form, _is_index, format_edge_list
+from .graphs import _NOT_COLLECTIONS, Graph, _canonical_form, _is_index, format_edge_list
 
 ORACLE_EDGE_CAP = 10
 
@@ -100,21 +100,29 @@ def accepts_partition(g: Graph, blocks) -> bool:
     solver's verifier (used for double-entry bookkeeping in tests).
 
     False unless every block is a nonempty collection of edge indices of
-    ``g``, no two blocks share an edge and the blocks cover every edge.
+    ``g``, no two blocks share an edge and the blocks cover every edge.  A
+    str, bytes, bytearray, dict or non-iterable is not a collection.
     """
     m = g.m
     masks = []
     covered = 0
-    for block in blocks:
-        mask = 0
-        for e in block:
-            if not _is_index(e, m):
+    if isinstance(blocks, _NOT_COLLECTIONS):
+        return False
+    try:
+        for block in blocks:
+            if isinstance(block, _NOT_COLLECTIONS):
                 return False
-            mask |= 1 << e
-        if not mask or mask & covered:
-            return False
-        covered |= mask
-        masks.append(mask)
+            mask = 0
+            for e in block:
+                if not _is_index(e, m):
+                    return False
+                mask |= 1 << e
+            if not mask or mask & covered:
+                return False
+            covered |= mask
+            masks.append(mask)
+    except TypeError:  # the partition or a block is not iterable
+        return False
     # A graph with no edges has no edge partitions.
     if not masks or covered != (1 << m) - 1:
         return False
@@ -205,24 +213,25 @@ class CorpusSpec:
 
 
 def _orders(spec: CorpusSpec) -> Iterator[tuple[str, int]]:
-    for cls in spec.classes:
-        for n in range(_CLASSES[cls][0], spec.max_vertices + 1):
-            yield cls, n
+    """The (class, order) pairs of ``spec``, refused at the call unless it is a CorpusSpec."""
+    if not isinstance(spec, CorpusSpec):
+        raise InvalidSpec(f"expected a CorpusSpec, got {spec!r}")
+    return ((c, n) for c in spec.classes for n in range(_CLASSES[c][0], spec.max_vertices + 1))
 
 
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
     """All graphs of the requested classes up to ``max_vertices``, one
     representative per isomorphism class, in a deterministic order."""
-    for cls, n in _orders(spec):
-        yield from graphs_of_order(cls, n)
+    return (g for cls, n in _orders(spec) for g in graphs_of_order(cls, n))
 
 
 def export_corpus(spec: CorpusSpec, directory: str | Path) -> list[Path]:
     """Write one edge-list file per corpus graph, named <class>_<n>_<index>.el."""
+    orders = _orders(spec)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for cls, n in _orders(spec):
+    for cls, n in orders:
         for index, g in enumerate(graphs_of_order(cls, n)):
             path = directory / f"{cls}_{n}_{index}.el"
             path.write_text(format_edge_list(g))

@@ -52,7 +52,7 @@ from .families import (
     theta_recognizer,
     two_disjoint_edges,
 )
-from .graphs import _NOT_COLLECTIONS, Graph, _is_connected, are_isomorphic
+from .graphs import Graph, _is_connected, _members, are_isomorphic
 from .oracle import CorpusSpec, brute_force_ec, enumerate_corpus
 
 
@@ -397,14 +397,8 @@ def run_all(tags: Iterable[str] | None = None) -> Iterator[CheckResult]:
     """
     checks = CHECKS
     if tags is not None:
-        try:
-            if isinstance(tags, _NOT_COLLECTIONS):  # read as letters, byte values or keys
-                raise TypeError
-            items = iter(tags)
-        except TypeError:
-            kind = type(tags).__name__
-            raise EclabError(f"check tags must be an iterable of str, got the {kind} {tags!r}") from None
-        tags = tuple(items)  # read once: a generator would be spent by the scan below
+        # Read once: a generator would be spent by the scan below.
+        tags = tuple(_members(tags, "check tags must be an iterable of str", EclabError))
         known = tuple(tag for tag, _ in checks)
         unknown = [t for t in tags if t not in known]
         if unknown:

@@ -306,19 +306,19 @@ def test_unknown_tags_raise_before_any_check_runs(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "tags, kind",
+    "tags, got",
     [
-        ({"paths-closed-form": 0}, "dict"),
-        (b"ab", "bytes"),
-        (bytearray(b"ab"), "bytearray"),
-        (5, "int"),
+        ({"paths-closed-form": 0}, "a dict"),
+        (b"ab", "a bytes"),
+        (bytearray(b"ab"), "a bytearray"),
+        (5, "5"),
     ],
 )
-def test_tags_read_as_keys_or_byte_values_or_not_iterable_raise(monkeypatch, tags, kind):
+def test_tags_read_as_keys_or_byte_values_or_not_iterable_raise(monkeypatch, tags, got):
     # Unchecked, the dict raised a bare AttributeError, the bytes reported
     # "unknown check tags: 97, 98" and the int a bare TypeError.
     ran = _spy_checks(monkeypatch)
-    with pytest.raises(EclabError, match=f"must be an iterable of str, got the {kind} "):
+    with pytest.raises(EclabError, match=f"^check tags must be an iterable of str, got {got}$"):
         run_all(tags)
     assert ran == []
 
@@ -341,8 +341,128 @@ def test_a_generator_or_a_set_of_tags_runs_its_checks(monkeypatch, tags):
 def test_a_bare_str_or_a_repeated_tag_raises_before_any_check_runs(monkeypatch):
     # Unchecked, a str reads as its letters and a repeated tag runs once.
     ran = _spy_checks(monkeypatch)
-    with pytest.raises(EclabError, match="got the str 'paths-closed-form'$"):
+    with pytest.raises(EclabError, match="^check tags must be an iterable of str, got a str$"):
         run_all("paths-closed-form")
     with pytest.raises(EclabError, match="tag 'paths-closed-form' is listed more than once"):
         run_all(["paths-closed-form", "gamma-prime-identity", "paths-closed-form"])
     assert ran == []
+
+
+def _returns(value):
+    """A stand-in that returns ``value`` whatever it is given."""
+    return lambda original: lambda *args: value
+
+
+def _negated(original):
+    return lambda g: not original(g)
+
+
+def _for_graph(graph, change):
+    """A stand-in that applies ``change`` to the original result on ``graph`` only."""
+    return lambda original: lambda g: change(original(g)) if g == graph else original(g)
+
+
+def _no_gamma(result):
+    return dataclasses.replace(result, gamma_prime=0)
+
+
+_EC1, _EC3, _OTHER = (getattr(eclab.families.SmallEcClass, c) for c in ("EC1", "EC3", "OTHER"))
+_SPOT_GRAPHS = tuple(eclab.families.SINGLETON_EC_SPOT_CHECKS.values())
+_SPIDERS = (
+    "((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)): twice-gamma-minus-one=5 vs EC=4; "
+    "((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (4, 8)): "
+    "twice-gamma-minus-one=7 vs EC=4"
+)
+
+
+@pytest.mark.parametrize(
+    "tag, name, stand_in, detail",
+    [
+        ("paths-closed-form", "closed_form_ec", _returns(-1), "path:2: solver 1 != closed form -1"),
+        ("cycles-closed-form", "closed_form_ec", _returns(-1), "cycle:3: solver 3 != closed form -1"),
+        ("stars-and-double-stars", "closed_form_ec", _returns(-1), "star:1: solver 1 != closed form -1"),
+        ("complete-graphs", "closed_form_ec", _returns(-1), "complete:2: solver 1 != closed form -1"),
+        (
+            "complete-graphs",
+            "_ec",
+            _for_graph(eclab.families.complete_graph(6), lambda ec: 15),
+            "EC(K_6) = 15 outside [10, 15)",
+        ),
+        ("complete-bipartite", "closed_form_ec", _returns(-1), "kbip:2,2: solver 4 != closed form -1"),
+        ("small-ec-classes", "small_ec_classifier", _returns(_OTHER), "((0, 1),): EC=1 but class OTHER"),
+        (
+            "small-ec-classes",
+            "small_ec_classifier",
+            lambda original: lambda g: _OTHER if original(g) is _EC3 else original(g),
+            "((0, 1), (0, 2), (1, 2)): EC=3, connected, class OTHER",
+        ),
+        (
+            "small-ec-classes",
+            "small_ec_classifier",
+            lambda original: lambda g: _EC1 if g.m >= 4 else original(g),
+            "((0, 2), (0, 3), (1, 3), (2, 3)): class EC1 but EC=4",
+        ),
+        ("trees-phi", "phi_recognizer", _negated, "counterexample: ((0, 1),)"),
+        ("unicyclic-theta", "theta_recognizer", _negated, "counterexample: ((0, 1), (0, 2), (1, 2))"),
+        (
+            "bound-suite",
+            "p3_bound_sharp",
+            _returns(False),
+            f"3 violations, e.g. {_SPIDERS}; P3 sharpness of the universal-vertex bound failed",
+        ),
+        (
+            "partner-cap",
+            "_solve",
+            lambda original: lambda g: (original(g)[0], eclab.families.complete_graph(20)),
+            "((0, 2), (1, 2)): block 0 exceeds 2*Delta-1",
+        ),
+        ("coalition-graph-theorems", "k24_preset_mismatches", _returns(("pi1",)), "preset pi1 mismatch"),
+        ("coalition-graph-theorems", "star_ecg_mismatches", _returns((3,)), "star ECG wrong at n=3"),
+        ("oracle-equivalence", "brute_force_ec", _returns(-1), "((0, 1),): solver 1 != oracle -1"),
+        ("singleton-ec-spot-checks", "_ec", _returns(-1), "diamond: EC != m"),
+        ("singleton-ec-spot-checks", "is_singleton_ec_graph", _returns(False), "diamond: not singleton-ec"),
+        (
+            "singleton-ec-spot-checks",
+            "is_singleton_ec_graph",
+            lambda original: lambda g: original(g) == (g in _SPOT_GRAPHS),
+            "inconsistent at ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3))",
+        ),
+        ("gamma-prime-identity", "gamma_prime_via_line_graph", _returns(-1), "identity fails at ((0, 1),)"),
+        (
+            "gamma-prime-identity",
+            "edge_domination_number",
+            _for_graph(eclab.families.complete_graph(8), _no_gamma),
+            "K_8 != 4",
+        ),
+        (
+            "gamma-prime-identity",
+            "edge_domination_number",
+            _for_graph(eclab.families.complete_bipartite(3, 3), _no_gamma),
+            "K_3,3 != 3",
+        ),
+    ],
+)
+def test_each_check_reports_a_wrong_value(monkeypatch, tag, name, stand_in, detail):
+    # One value the check compares is made wrong; the check must fail and
+    # name it.  Every return False branch of the suite runs here.
+    monkeypatch.setattr(eclab.theorems, name, stand_in(getattr(eclab.theorems, name)))
+    assert next(run_all((tag,))) == CheckResult(tag, False, detail)
+
+
+@pytest.mark.parametrize(
+    "tag, name, value, detail",
+    [
+        ("bound-suite", "bound_violations", (), "all applicable bounds hold on 269 graphs"),
+        (
+            "coalition-graph-theorems",
+            "self_coalition_census",
+            (eclab.families.cycle_graph(5), eclab.families.net_graph()),
+            "presets, stars, and census all match",
+        ),
+    ],
+)
+def test_refuted_checks_pass_on_the_claimed_evidence(monkeypatch, tag, name, value, detail):
+    # Criteria 9 and 11 fail on the real corpus; given the evidence the paper
+    # claims, their PASS report is reached.
+    monkeypatch.setattr(eclab.theorems, name, lambda: value)
+    assert next(run_all((tag,))) == CheckResult(tag, True, detail)

@@ -356,7 +356,10 @@ class TestInputBoundary:
             ),
             (["verify", "--family", "kbip:2,4"], "--partition --partition-id is required"),
             (["verify", "--family", "kbip:2,4", "--partition-id", ""], "unknown partition id ''"),
-            (["ecg", "--family", "path:6", "--partition", "5"], "edge indices"),
+            (
+                ["ecg", "--family", "path:6", "--partition", "5"],
+                "a partition must be a collection of blocks, got 5\n",
+            ),
             (["ecg", "--family", "path:6", "--partition", '{"a": [0]}'], "got a dict"),
             (["verify", "--family", "path:3", "--partition", "[[" + "9" * 5000 + "]]"], "not valid JSON"),
             (["verify", "--family", "path:3", "--partition", "[" * 100_000], "not valid JSON"),
@@ -407,6 +410,21 @@ class TestInputBoundary:
         assert "error:" in captured.err
         assert message.replace("{tmp}", str(tmp_path)) in captured.err
         assert "Traceback" not in captured.err
+
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1180591620717411303424 1\n0 1\n", "4611686018427387904 0\n"],
+        ids=["2**70", "2**62"],
+    )
+    def test_vertex_count_too_large_to_store(self, capsys, tmp_path, text):
+        # Each printed a traceback and exited 1, the code of a negative verification.
+        path = tmp_path / "huge.el"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "ec", "--graph", str(path))
+        assert code == 2 and out == ""
+        n = text.split()[0]
+        assert err == f"error: cannot parse {path}: vertex count {n} is too large to store\n"
 
 
 class TestBounds:

@@ -222,6 +222,18 @@ class TestIsEcPartition:
             is_ec_partition(path_graph(4), blocks)
 
     @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (None, "a partition must be a collection of blocks, got None"),
+            ([[0, 1], 2], "block 1 must be a collection of edge indices, got 2"),
+        ],
+        ids=["partition", "block"],
+    )
+    def test_partition_or_block_not_iterable_rejected(self, blocks, message):
+        with pytest.raises(InvalidPartition, match=f"^{re.escape(message)}$"):
+            validate_partition(path_graph(4), blocks)
+
+    @pytest.mark.parametrize(
         "blocks, want",
         [
             ([{0}, frozenset({1}), [2]], [[0], [1], [2]]),

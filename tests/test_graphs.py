@@ -164,6 +164,14 @@ class TestConstruction:
         with pytest.raises(OutOfRangeVertex, match="nonnegative"):
             Graph(-1)
 
+    @pytest.mark.parametrize("n", [2**61, 2**62, 2**70], ids=["2**61", "2**62", "2**70"])
+    def test_vertex_count_too_large_to_store_refused(self, n):
+        # CPython refuses a list this long before it allocates anything, with
+        # a bare MemoryError or OverflowError.  No count that can be allocated
+        # is tried: 10**9 vertices ask for 8 GB.
+        with pytest.raises(OutOfRangeVertex, match=f"^vertex count {n} is too large to store$"):
+            Graph(n, [(0, 1)])
+
     @pytest.mark.parametrize("edge", [(True, 2), (0, False), (0.0, 1), (0, 1.0), ("0", 1), (None, 1)])
     def test_endpoint_that_is_not_an_int_vertex_refused(self, edge):
         # A stored bool endpoint would be written as "True 2", which
@@ -189,9 +197,9 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "edges, message",
         [
-            ({(0, 1): "x", (1, 2): "y"}, "edges must be an iterable of pairs, got type dict"),
-            (b"\x00\x01", "edges must be an iterable of pairs, got type bytes"),
-            (bytearray(b"\x00\x01"), "edges must be an iterable of pairs, got type bytearray"),
+            ({(0, 1): "x", (1, 2): "y"}, "edges must be an iterable of pairs, got a dict"),
+            (b"\x00\x01", "edges must be an iterable of pairs, got a bytes"),
+            (bytearray(b"\x00\x01"), "edges must be an iterable of pairs, got a bytearray"),
             ([{0: "x", 1: "y"}], "edge {0: 'x', 1: 'y'} has type dict"),
             ([b"\x00\x01"], "edge b'\\x00\\x01' has type bytes"),
             ([bytearray(b"\x00\x01")], "edge bytearray(b'\\x00\\x01') has type bytearray"),

@@ -9,6 +9,7 @@ frozen.
 
 import ast
 import hashlib
+import re
 from itertools import combinations, permutations
 from pathlib import Path
 from unittest import mock
@@ -187,6 +188,24 @@ class TestBruteForce:
         assert not accepts_partition(star, [[0]])
         assert not accepts_partition(star, [[0], [0], [1], [2]])
         assert not accepts_partition(Graph(2), [])
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [b"\x00", b"\x01", b"\x02"],
+            {frozenset({0}): 1, frozenset({1}): 2, frozenset({2}): 3},
+            [{0: "a"}, {1: "b"}, {2: "c"}],
+            [5],
+            None,
+        ],
+        ids=["bytes-blocks", "dict-partition", "dict-blocks", "int-block", "None"],
+    )
+    def test_rejects_what_the_verifier_refuses(self, blocks):
+        # The first three read as byte values or keys and were accepted; the
+        # last two raised a bare TypeError.
+        with pytest.raises(InvalidPartition):
+            validate_partition(path_graph(4), blocks)
+        assert accepts_partition(path_graph(4), blocks) is False
 
     def test_every_partition_of_a_refuted_order_is_checked(self):
         check = eclab.oracle._blocks_satisfy_definition
@@ -446,6 +465,17 @@ class TestCorpusApi:
         # A second export pass over a class would overwrite the first one's files.
         with pytest.raises(InvalidSpec, match="'trees' is listed more than once"):
             CorpusSpec(5, ("trees", "unicyclic", "trees"))
+
+    @pytest.mark.parametrize("spec", ["connected", 5, None])
+    def test_corpus_functions_refuse_what_is_not_a_spec(self, tmp_path, spec):
+        # Unchecked, each raised a bare AttributeError, and export_corpus
+        # made its directory first.
+        message = f"^expected a CorpusSpec, got {re.escape(repr(spec))}$"
+        with pytest.raises(InvalidSpec, match=message):
+            enumerate_corpus(spec)
+        with pytest.raises(InvalidSpec, match=message):
+            export_corpus(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_below_first_order_is_empty(self):
         assert graphs_of_order("trees", 0) == ()
