@@ -62,24 +62,22 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         raise EclabError(f"cannot parse {path}: {exc}") from exc
 
 
-def _add_input_args(parser: argparse.ArgumentParser) -> None:
+def _graph_args(parser: argparse.ArgumentParser, *, dot: bool = False) -> None:
+    """One of ``--family`` and ``--graph``, then ``--format json|text``; with
+    ``dot``, also DOT, which is then the default."""
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="family spec, e.g. path:6, cycle:7, dstar:3,2, kbip:2,4")
     group.add_argument("--graph", help="edge-list file ('n m' header, then 'u v' lines)")
+    choices, default = (("json", "dot", "text"), "dot") if dot else (("json", "text"), "text")
+    parser.add_argument("--format", choices=choices, default=default, help="output format")
 
 
-def _add_partition_args(parser: argparse.ArgumentParser) -> None:
+def _partition_args(parser: argparse.ArgumentParser, *, dot: bool = False) -> None:
+    """The graph arguments, then exactly one of ``--partition`` and ``--partition-id``."""
+    _graph_args(parser, dot=dot)
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--partition", help="JSON array of edge-index arrays, e.g. '[[0,4],[1],[2],[3]]'")
     group.add_argument("--partition-id", help="built-in partition of kbip:2,4 (pi1..pi6)")
-
-
-def _add_format_arg(parser: argparse.ArgumentParser, *, dot: bool = False) -> None:
-    """``--format json|text``; with ``dot``, also DOT, which is then the default."""
-    choices = ("json", "dot", "text") if dot else ("json", "text")
-    parser.add_argument(
-        "--format", choices=choices, default="dot" if dot else "text", help="output format"
-    )
 
 
 def _cap(text: str) -> int:
@@ -158,9 +156,9 @@ def _cmd_ec(args: argparse.Namespace) -> int:
     if args.family and not args.lower_bound:  # refuse from the spec, before building the graph
         _check_edge_cap(_edge_count(FamilySpec.parse(args.family)), cap)
     g = _load_graph(args)
-    if args.lower_bound:
-        budget = 30.0 if args.time_budget is None else args.time_budget
-        result = edge_coalition_lower_bound(g, time_budget=budget)
+    if args.lower_bound:  # without --time-budget, the library's default applies
+        budget = {} if args.time_budget is None else {"time_budget": args.time_budget}
+        result = edge_coalition_lower_bound(g, **budget)
     else:
         result = edge_coalition_number(g, max_edges=cap)
     if args.format == "json":
@@ -263,8 +261,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
 
 
 def _ec_args(p: argparse.ArgumentParser) -> None:
-    _add_input_args(p)
-    _add_format_arg(p)
+    _graph_args(p)
     p.add_argument("--max-edges", type=_cap, default=None, help="override the exact-mode cap")
     p.add_argument(
         "--lower-bound",
@@ -272,63 +269,37 @@ def _ec_args(p: argparse.ArgumentParser) -> None:
         help="report the best certificate found within --time-budget instead of the exact value",
     )
     p.add_argument("--time-budget", type=_seconds, help="seconds for --lower-bound (default 30)")
-    p.set_defaults(func=_cmd_ec)
-
-
-def _gamma_args(p: argparse.ArgumentParser) -> None:
-    _add_input_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_gamma)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    _add_input_args(p)
-    _add_format_arg(p)
-    _add_partition_args(p)
-    p.set_defaults(func=_cmd_verify)
 
 
 def _ecg_args(p: argparse.ArgumentParser) -> None:
-    _add_input_args(p)
-    _add_format_arg(p, dot=True)
-    _add_partition_args(p)
-    p.set_defaults(func=_cmd_ecg)
-
-
-def _bounds_args(p: argparse.ArgumentParser) -> None:
-    _add_input_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_bounds)
+    _partition_args(p, dot=True)
 
 
 def _generate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--output", help="file path (default: stdout)")
-    p.set_defaults(func=_cmd_generate)
 
 
 def _corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", default="connected", help="comma list: all,connected,trees,unicyclic")
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_corpus)
 
 
 def _theorems_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--only", help="comma list of check tags to run")
-    p.set_defaults(func=_cmd_theorems)
 
 
-# (name, help, set-up) of each verb, in the order the help lists them.
+# (name, help, set-up, command) of each verb, in the order the help lists them.
 _VERBS = (
-    ("ec", "compute the edge coalition number with a certificate", _ec_args),
-    ("gamma", "compute the edge domination number", _gamma_args),
-    ("verify", "verify a partition (JSON array of edge-index arrays)", _verify_args),
-    ("ecg", "build the coalition graph of an ec-partition", _ecg_args),
-    ("bounds", "report known bounds with applicability flags", _bounds_args),
-    ("generate", "write a family graph as an edge list", _generate_args),
-    ("corpus", "export exhaustive small-graph corpora", _corpus_args),
-    ("theorems", "run the reproduction suite", _theorems_args),
+    ("ec", "compute the edge coalition number with a certificate", _ec_args, _cmd_ec),
+    ("gamma", "compute the edge domination number", _graph_args, _cmd_gamma),
+    ("verify", "verify a partition (JSON array of edge-index arrays)", _partition_args, _cmd_verify),
+    ("ecg", "build the coalition graph of an ec-partition", _ecg_args, _cmd_ecg),
+    ("bounds", "report known bounds with applicability flags", _graph_args, _cmd_bounds),
+    ("generate", "write a family graph as an edge list", _generate_args, _cmd_generate),
+    ("corpus", "export exhaustive small-graph corpora", _corpus_args, _cmd_corpus),
+    ("theorems", "run the reproduction suite", _theorems_args, _cmd_theorems),
 )
 
 
@@ -342,16 +313,18 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         prog="eclab",
         description="Exact edge coalition computations on small graphs.",
     )
-    names = [name for name, _, _ in _VERBS]
+    names = [name for name, *_ in _VERBS]
     if verb is not None and verb not in names:
         raise ValueError(f"unknown verb {verb!r}")
     # Set only when narrowed: with a metavar, a missing verb would be
     # reported as the list of names instead of "verb".
     metavar = None if verb is None else "{" + ",".join(names) + "}"
     sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for name, help_text, add_args in _VERBS:
+    for name, help_text, add_args, command in _VERBS:
         if verb in (None, name):
-            add_args(sub.add_parser(name, help=help_text))
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=command)
     return parser
 
 
@@ -359,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # Build only the named verb's subparser; anything else gets the full parser.
-    verb = argv[0] if argv and argv[0] in [name for name, _, _ in _VERBS] else None
+    verb = argv[0] if argv and argv[0] in [name for name, *_ in _VERBS] else None
     args = build_parser(verb).parse_args(argv)
     try:
         code = args.func(args)

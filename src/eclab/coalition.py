@@ -21,6 +21,7 @@ least canonical labeling of that order.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from itertools import accumulate
@@ -767,13 +768,13 @@ def edge_coalition_lower_bound(
     get refuted in time are skipped downward.  The first order that yields
     a partition gives a certificate; the value is exact only if no higher
     order was skipped, and the result is always labeled "lower_bound".  A
-    non-finite budget would never time out and a negative one has run out
-    before any search, so both raise :class:`EclabError`, as does a budget
-    that is a bool or not an int or float; :class:`BudgetExceeded` means no
-    order was filled in time.
+    budget that is nan, infinite or an int past the largest float would
+    never time out and a negative one has run out before any search, so
+    each raises :class:`EclabError`, as does a bool or a budget that is not
+    an int or float; :class:`BudgetExceeded` means no order was filled in time.
     """
     number = isinstance(time_budget, (int, float)) and type(time_budget) is not bool
-    if not (number and math.isfinite(time_budget) and time_budget >= 0):
+    if not (number and 0 <= time_budget <= sys.float_info.max):
         raise EclabError(
             f"time_budget must be a finite, nonnegative number of seconds, got {time_budget!r}"
         )

@@ -92,30 +92,27 @@ def _connected_corpus() -> tuple[Graph, ...]:
     return tuple(g for g in _bound_corpus() if g.n <= 5 and _is_connected(g))
 
 
-def _closed_form_mismatch(specs: Iterable[FamilySpec]) -> str | None:
-    """The first family member whose solver EC differs from ``closed_form_ec``."""
+def _closed_form_sweep(specs: Iterable[FamilySpec], passed: str) -> tuple[bool, str]:
+    """``(True, passed)`` when the solver EC of every family member equals
+    ``closed_form_ec``; else FAIL, naming the first member that differs."""
     for spec in specs:
         got, want = _ec(generate(spec)), closed_form_ec(spec)
         if got != want:
-            return f"{spec.to_string()}: solver {got} != closed form {want}"
-    return None
+            return False, f"{spec.to_string()}: solver {got} != closed form {want}"
+    return True, passed
 
 
 def _check_paths() -> tuple[bool, str]:
     """EC of paths n = 2..14 equals ``_KINDS``; a certificate of order k has k
     blocks, so EC(P13) = 6 also gives the 6 blocks of its witness."""
-    bad = _closed_form_mismatch(FamilySpec("path", (n,)) for n in range(2, 15))
-    if bad:
-        return False, bad
-    return True, "paths n=2..14 match; P_13 witness has 6 blocks"
+    specs = (FamilySpec("path", (n,)) for n in range(2, 15))
+    return _closed_form_sweep(specs, "paths n=2..14 match; P_13 witness has 6 blocks")
 
 
 def _check_cycles() -> tuple[bool, str]:
     """EC of cycles n = 3..12 equals ``_KINDS``."""
-    bad = _closed_form_mismatch(FamilySpec("cycle", (n,)) for n in range(3, 13))
-    if bad:
-        return False, bad
-    return True, "cycles n=3..12 match"
+    specs = (FamilySpec("cycle", (n,)) for n in range(3, 13))
+    return _closed_form_sweep(specs, "cycles n=3..12 match")
 
 
 def _check_stars() -> tuple[bool, str]:
@@ -123,18 +120,16 @@ def _check_stars() -> tuple[bool, str]:
     double_stars = [
         FamilySpec("double_star", (p, q)) for p in range(9) for q in range(p + 1) if p + q + 1 <= 9
     ]
-    bad = _closed_form_mismatch([FamilySpec("star", (s,)) for s in range(1, 9)] + double_stars)
-    if bad:
-        return False, bad
-    return True, f"stars n=1..8 and {len(double_stars)} double stars match"
+    specs = [FamilySpec("star", (s,)) for s in range(1, 9)] + double_stars
+    return _closed_form_sweep(specs, f"stars n=1..8 and {len(double_stars)} double stars match")
 
 
 def _check_complete() -> tuple[bool, str]:
     """EC(K_n) for n = 2..5 equals ``_KINDS``, whose K4 = 6 is the even-order
     bound 2(n-1); K6, with no closed form, is computed exactly in [10, 15)."""
-    bad = _closed_form_mismatch(FamilySpec("complete", (n,)) for n in range(2, 6))
-    if bad:
-        return False, bad
+    swept = _closed_form_sweep((FamilySpec("complete", (n,)) for n in range(2, 6)), "")
+    if not swept[0]:
+        return swept
     k6 = _ec(complete_graph(6))
     if not 2 * (6 - 1) <= k6 < 15:
         return False, f"EC(K_6) = {k6} outside [10, 15)"
@@ -143,10 +138,8 @@ def _check_complete() -> tuple[bool, str]:
 
 def _check_bipartite() -> tuple[bool, str]:
     """EC(K_{2,s}) for s = 2..4 equals the 2s of ``_KINDS``: sharp at 2, met at 3 and 4."""
-    bad = _closed_form_mismatch(FamilySpec("complete_bipartite", (2, s)) for s in (2, 3, 4))
-    if bad:
-        return False, bad
-    return True, "K_2,2 = 4; K_2,3 = 6 >= 6; K_2,4 = 8 >= 8"
+    specs = (FamilySpec("complete_bipartite", (2, s)) for s in (2, 3, 4))
+    return _closed_form_sweep(specs, "K_2,2 = 4; K_2,3 = 6 >= 6; K_2,4 = 8 >= 8")
 
 
 def _check_small_ec() -> tuple[bool, str]:

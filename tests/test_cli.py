@@ -118,6 +118,21 @@ class TestEc:
         assert payload["mode"] == "lower_bound"
         assert payload["ec"] >= 4
 
+    def test_lower_bound_leaves_the_default_budget_to_the_library(self, capsys, monkeypatch):
+        # Without --time-budget the CLI passes no budget, so the library's
+        # default is the only one.
+        calls = []
+        lower_bound = cli.edge_coalition_lower_bound
+
+        def recording(g, **kwargs):
+            calls.append(kwargs)
+            return lower_bound(g, **kwargs)
+
+        monkeypatch.setattr(cli, "edge_coalition_lower_bound", recording)
+        for budget in ([], ["--time-budget", "5"]):
+            assert run_cli(capsys, "ec", "--family", "path:6", "--lower-bound", *budget)[0] == 0
+        assert calls == [{}, {"time_budget": 5.0}]
+
     def test_jobs_option_is_usage_error(self, capsys):
         # No option selects a search route; there is one, in one process.
         with pytest.raises(SystemExit) as exc:
@@ -639,6 +654,25 @@ def test_only_the_cli_writes_to_stdout():
                     offenders.append(f"{path.name}:{node.lineno} print")
             elif isinstance(node, ast.Attribute) and node.attr == "stdout":
                 offenders.append(f"{path.name}:{node.lineno} .stdout")
+    assert len(list(package.glob("*.py"))) > 5, "no modules found"
+    assert offenders == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies, so nothing else may be imported.
+    package = Path(eclab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
     assert len(list(package.glob("*.py"))) > 5, "no modules found"
     assert offenders == []
 

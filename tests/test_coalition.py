@@ -403,6 +403,20 @@ class TestSolver:
         with pytest.raises(EclabError, match="time_budget"):
             edge_coalition_lower_bound(P6, time_budget=budget)
 
+    @pytest.mark.parametrize("budget", [10**400, 2**1024], ids=["10**400", "2**1024"])
+    def test_lower_bound_rejects_int_budget_past_float_range(self, budget):
+        # No float holds such an int, so it is no finite number of seconds;
+        # math.isfinite raised a bare OverflowError on it.
+        with pytest.raises(EclabError) as exc:
+            edge_coalition_lower_bound(P6, time_budget=budget)
+        assert str(exc.value) == (
+            f"time_budget must be a finite, nonnegative number of seconds, got {budget!r}"
+        )
+
+    def test_lower_bound_accepts_the_largest_float_as_an_int(self):
+        result = edge_coalition_lower_bound(P6, time_budget=int(sys.float_info.max))
+        assert (result.ec, result.mode) == (4, "lower_bound")
+
     @pytest.mark.parametrize(
         "g, ec",
         [(complete_graph(6), 13), (complete_bipartite(3, 4), 9), (complete_bipartite(3, 5), 12)],
